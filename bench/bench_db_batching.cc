@@ -19,8 +19,8 @@
 // any fails:
 //   - for every mode, DatabaseStats and BatchStats must be bitwise
 //     identical between the serial reference (one queue, prepare inline)
-//     and the same run placed on 4 shards with 2 worker threads and
-//     prepare on-shard (db/partition_plane.h);
+//     and the same run placed on 4 shards with prepare on the partition
+//     plane (db/partition_plane.h);
 //   - with the largest fixed window, messages per committed transaction
 //     must be strictly lower than with batching disabled, on every
 //     protocol and workload;
@@ -30,10 +30,9 @@
 //     controller.
 //
 // Usage:
-//   bench_db_batching [--txs N] [--threads M] [--json PATH]
+//   bench_db_batching [--txs N] [--json PATH]
 //
-// Default: N = 100000, M = 2 (threads for the placement-check runs).
-// --json writes the machine-readable row set consumed by
+// Default: N = 100000. --json writes the machine-readable row set consumed by
 // tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <cstdio>
@@ -88,13 +87,12 @@ struct Result {
 };
 
 Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, const Mode& mode, int shards, int threads,
+              int num_txs, const Mode& mode, int shards,
               bool partition_parallel) {
   db::Database::Options options;
   options.num_partitions = 4;  // few partition sets => batches actually form
   options.protocol = protocol;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.partition_parallel = partition_parallel;
   if (mode.adaptive) {
     options.batch_window = kAdaptivePrior;
@@ -145,18 +143,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_txs = 100000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -180,9 +174,9 @@ int main(int argc, char** argv) {
       "DB commit batching: fixed-window sweep + adaptive cross-set mode");
   std::printf(
       "%d transactions per run, 4 partitions, bursts of %d, "
-      "placement check on 4 shards / %d threads\n"
+      "placement check on 4 shards\n"
       "adaptive mode: prior %lld, window max %lld, cross-set admission on\n",
-      num_txs, kBurst, threads, static_cast<long long>(kAdaptivePrior),
+      num_txs, kBurst, static_cast<long long>(kAdaptivePrior),
       static_cast<long long>(kAdaptiveWindowMax));
 
   JsonBenchReport report("db_batching", num_txs);
@@ -199,11 +193,11 @@ int main(int argc, char** argv) {
       Result adaptive;
       for (const Mode& mode : modes) {
         // Serial reference (one queue, prepare inline) vs the fully
-        // displaced run (4 shards, worker threads, prepare on-shard): one
-        // comparison gates the merge rule and the partition plane at once.
-        Result r = RunOne(protocol, workload, num_txs, mode, 1, 1,
+        // displaced run (4 shards, prepare on the plane): one comparison
+        // gates the merge rule and the partition plane at once.
+        Result r = RunOne(protocol, workload, num_txs, mode, 1,
                           /*partition_parallel=*/false);
-        Result placed = RunOne(protocol, workload, num_txs, mode, 4, threads,
+        Result placed = RunOne(protocol, workload, num_txs, mode, 4,
                                /*partition_parallel=*/true);
         bool identical =
             r.stats == placed.stats && r.batch == placed.batch;

@@ -22,13 +22,13 @@
 //     every single-region co-coordinator round takes the one-phase path;
 //   - zero lost committed transactions (Add-delta ledger conservation);
 //   - bitwise placement determinism: DatabaseStats and GeoStats identical
-//     between the serial reference and 4 shards with worker threads.
+//     between the serial reference and 4 shards.
 //
 // Usage:
-//   bench_db_geo [--txs N] [--threads M] [--json PATH]
+//   bench_db_geo [--txs N] [--json PATH]
 //
-// Default: N = 20000 arrivals per run, M = 2 (threads for the placed
-// runs). --json writes the row set consumed by tools/bench_compare.py.
+// Default: N = 20000 arrivals per run. --json writes the row set consumed
+// by tools/bench_compare.py.
 
 #include <chrono>
 #include <cstdio>
@@ -68,12 +68,11 @@ db::TrafficOptions Traffic(int num_arrivals) {
 }
 
 Result RunOne(core::ProtocolKind protocol, bool co_coordinators,
-              int num_arrivals, int shards, int threads) {
+              int num_arrivals, int shards) {
   db::Database::Options options;
   options.num_partitions = 9;  // 3 partitions homed per region
   options.protocol = protocol;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.partition_parallel = true;
   options.num_regions = kNumRegions;
   options.cross_region_units_min = kCrossUnits;
@@ -116,18 +115,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_arrivals = 20000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -141,8 +136,8 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 9 partitions homed 3 per region, transfer "
       "pairs over 512 keys\nspread deployment vs co-coordinator "
-      "choreography; placement check on 4 shards / %d threads\n",
-      num_arrivals, threads);
+      "choreography; placement check on 4 shards\n",
+      num_arrivals);
 
   JsonBenchReport report("db_geo", num_arrivals);
   bool lost_commits = false;
@@ -161,9 +156,8 @@ int main(int argc, char** argv) {
 
       // Serial reference vs the placed run: the WAN-priced schedule must
       // be placement-invariant, not just the workload stats.
-      Result serial = RunOne(protocol, co_coordinators, num_arrivals, 1, 1);
-      Result placed =
-          RunOne(protocol, co_coordinators, num_arrivals, 4, threads);
+      Result serial = RunOne(protocol, co_coordinators, num_arrivals, 1);
+      Result placed = RunOne(protocol, co_coordinators, num_arrivals, 4);
       bool identical =
           serial.stats == placed.stats && serial.geo == placed.geo;
       if (!identical) diverged = true;

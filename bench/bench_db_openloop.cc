@@ -9,30 +9,23 @@
 //   - achieved vs offered load (committed per tick against 1/mean_gap)
 //     and sustained committed/sec of wall clock;
 //   - commit latency mean and p99 in ticks under open-loop pressure;
-//   - partition-plane flush barriers run, and — in the lookahead pair —
-//     barriers skipped by conflict-aware lookahead
-//     (Database::Options::conflict_lookahead).
+//   - partition-plane flush barriers run.
 //
 // It doubles as a determinism and regression gate, exiting nonzero when
 // any fails:
 //   - every mode's DatabaseStats and BatchStats must be bitwise identical
-//     between the serial reference (one queue, one thread) and the same
-//     stream placed on 4 shards with worker threads;
+//     between the serial reference (one queue, inline partition path) and
+//     the same stream placed on 4 shards through the partition plane;
 //   - uncapped Poisson streams must sustain >= 95% of offered load
 //     (shedding nothing), and the saturated row (mean gap 1 tick against
 //     max_inflight = 256) must actually shed — admission control binds
-//     exactly at saturation, not below it;
-//   - conflict lookahead on low-conflict transfer traffic must skip
-//     barriers (lookahead_skips > 0), run strictly fewer plane flushes
-//     than lookahead-off, and drift no simulated metric: DatabaseStats
-//     and BatchStats bitwise identical to the lookahead-off run.
+//     exactly at saturation, not below it.
 //
 // Usage:
-//   bench_db_openloop [--txs N] [--threads M] [--json PATH]
+//   bench_db_openloop [--txs N] [--json PATH]
 //
-// Default: N = 100000 arrivals per run, M = 2 (threads for the placed
-// runs). --json writes the machine-readable row set consumed by
-// tools/bench_compare.py (see BENCH_baseline.json).
+// Default: N = 100000 arrivals per run. --json writes the machine-readable
+// row set consumed by tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <chrono>
 #include <cstdio>
@@ -57,7 +50,6 @@ struct Mode {
   std::string label;  ///< row key suffix, e.g. "poisson/gap=40"
   db::TrafficOptions traffic;
   int64_t max_inflight = 0;
-  bool lookahead = false;
   bool gate_sustain = false;  ///< uncapped uniform Poisson: >= 95% + no shed
   bool gate_shed = false;     ///< saturated row: admission control must bind
 };
@@ -76,19 +68,16 @@ struct Result {
   db::DatabaseStats stats;
   db::Database::BatchStats batch;
   int64_t flushes = 0;  ///< partition-plane barriers run
-  int64_t skips = 0;    ///< barriers skipped by conflict lookahead
 };
 
 Result RunOne(core::ProtocolKind protocol, const Mode& mode, int num_arrivals,
-              int shards, int threads, bool partition_parallel) {
+              int shards, bool partition_parallel) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = protocol;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.partition_parallel = partition_parallel;
   options.max_inflight = mode.max_inflight;
-  options.conflict_lookahead = mode.lookahead;
   db::Database database(options);
 
   db::TrafficOptions traffic = mode.traffic;
@@ -103,7 +92,6 @@ Result RunOne(core::ProtocolKind protocol, const Mode& mode, int num_arrivals,
       std::chrono::duration<double>(Clock::now() - start).count();
   result.batch = database.batch_stats();
   result.flushes = database.partition_plane().flushes();
-  result.skips = database.lookahead_skips();
   return result;
 }
 
@@ -119,13 +107,12 @@ double AchievedOverOffered(const Result& r, const Mode& mode) {
 void PrintResult(const Mode& mode, const Result& r, bool identical) {
   std::printf(
       "  %-26s %8lld/%8lld committed/offered  %5.3f of offered  shed %6lld  "
-      "p99 %6lld  flushes %8lld  skips %8lld  stats %s\n",
+      "p99 %6lld  flushes %8lld  stats %s\n",
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
       static_cast<long long>(r.stats.offered), AchievedOverOffered(r, mode),
       static_cast<long long>(r.stats.shed),
       static_cast<long long>(r.stats.PercentileLatency(99)),
-      static_cast<long long>(r.flushes), static_cast<long long>(r.skips),
-      identical ? "identical" : "DIVERGED");
+      static_cast<long long>(r.flushes), identical ? "identical" : "DIVERGED");
 }
 
 }  // namespace
@@ -136,18 +123,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_arrivals = 100000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -179,8 +162,8 @@ int main(int argc, char** argv) {
     grid.push_back(skew);
   }
 
-  // INBAC-only extensions: the Poisson rate sweep up to and past the
-  // admission-control knee, and the conflict-lookahead pair.
+  // INBAC-only extension: the Poisson rate sweep up to and past the
+  // admission-control knee.
   std::vector<Mode> sweep;
   for (double gap : {100.0, 25.0, 5.0}) {
     Mode mode{"poisson/gap=" + std::to_string(static_cast<int>(gap)),
@@ -196,33 +179,26 @@ int main(int argc, char** argv) {
     saturated.gate_shed = true;
     sweep.push_back(saturated);
   }
-  Mode lookahead_off{"poisson/gap=40/lookahead=0",
-                     BaseTraffic(db::ArrivalProcess::kPoisson, 40.0)};
-  Mode lookahead_on = lookahead_off;
-  lookahead_on.label = "poisson/gap=40/lookahead=1";
-  lookahead_on.lookahead = true;
 
-  PrintHeader("DB open-loop traffic: arrival processes, saturation, lookahead");
+  PrintHeader("DB open-loop traffic: arrival processes, saturation");
   std::printf(
       "%d arrivals per run, 8 partitions, transfer pairs over %lld keys, "
-      "placement check on 4 shards / %d threads\n"
+      "placement check on 4 shards\n"
       "saturated row: mean gap 1 tick against max_inflight = %lld\n",
-      num_arrivals, static_cast<long long>(int64_t{1} << 20), threads,
+      num_arrivals, static_cast<long long>(int64_t{1} << 20),
       static_cast<long long>(kSaturationCap));
 
   JsonBenchReport report("db_openloop", num_arrivals);
   bool diverged = false;
   bool sustain_failed = false;
   bool shed_missing = false;
-  bool lookahead_failed = false;
 
   auto run_gated = [&](core::ProtocolKind protocol, const Mode& mode) {
-    // Serial reference vs the placed run. Lookahead rows keep the
-    // partition plane on in the reference (lookahead is plane-only); all
-    // others gate the plane against the inline baseline at the same time.
-    Result serial = RunOne(protocol, mode, num_arrivals, 1, 1,
-                           /*partition_parallel=*/mode.lookahead);
-    Result placed = RunOne(protocol, mode, num_arrivals, 4, threads,
+    // Serial reference vs the placed run, which gates the plane against
+    // the inline baseline at the same time.
+    Result serial = RunOne(protocol, mode, num_arrivals, 1,
+                           /*partition_parallel=*/false);
+    Result placed = RunOne(protocol, mode, num_arrivals, 4,
                            /*partition_parallel=*/true);
     bool identical =
         serial.stats == placed.stats && serial.batch == placed.batch;
@@ -252,12 +228,10 @@ int main(int argc, char** argv) {
         .Set("p99_latency_ticks",
              static_cast<int64_t>(placed.stats.PercentileLatency(99)))
         .Set("barrier_flushes", placed.flushes)
-        .Set("lookahead_skips", placed.skips)
         .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
         .Set("wall_seconds", placed.wall_seconds)
         .Set("committed_per_sec_wall",
              CommittedPerSecWall(placed.stats.committed, placed.wall_seconds));
-    return placed;
   };
 
   for (core::ProtocolKind protocol : kProtocols) {
@@ -273,31 +247,8 @@ int main(int argc, char** argv) {
     run_gated(core::ProtocolKind::kInbac, mode);
   }
 
-  std::printf("\n%s / conflict-aware barrier lookahead\n",
-              core::ProtocolName(core::ProtocolKind::kInbac));
-  PrintRule();
-  Result off = run_gated(core::ProtocolKind::kInbac, lookahead_off);
-  Result on = run_gated(core::ProtocolKind::kInbac, lookahead_on);
-  bool drift = on.stats != off.stats || on.batch != off.batch;
-  bool skipped = on.skips > 0 && on.flushes < off.flushes;
-  if (drift || !skipped) {
-    lookahead_failed = true;
-    std::printf("  LOOKAHEAD REGRESSION: %s\n",
-                drift ? "simulated metrics drifted vs lookahead-off"
-                      : "no barriers were skipped");
-  } else {
-    std::printf(
-        "  -> lookahead skipped %lld barriers (%lld -> %lld flushes), zero "
-        "simulated-metric drift\n",
-        static_cast<long long>(on.skips), static_cast<long long>(off.flushes),
-        static_cast<long long>(on.flushes));
-  }
-
   if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
   bool json_failed = false;
   if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return diverged || sustain_failed || shed_missing || lookahead_failed ||
-                 json_failed
-             ? 2
-             : 0;
+  return diverged || sustain_failed || shed_missing || json_failed ? 2 : 0;
 }

@@ -22,8 +22,8 @@
 // any fails:
 //   - every row's DatabaseStats, BatchStats, and read fingerprint must
 //     be bitwise identical between the serial inline reference (one
-//     queue, one thread, no partition plane) and the same stream placed
-//     on 4 shards with worker threads;
+//     queue, no partition plane) and the same stream placed on 4 shards
+//     through the partition plane;
 //   - at read fraction 0.99 the snapshot plane must serve at least
 //     kReadSpeedupFloor x the locked path's reads per tick — the whole
 //     point of routing read-only transactions around the protocol;
@@ -39,11 +39,10 @@
 //     their offered load.
 //
 // Usage:
-//   bench_db_readmix [--txs N] [--threads M] [--json PATH]
+//   bench_db_readmix [--txs N] [--json PATH]
 //
-// Default: N = 20000 arrivals per run, M = 2 (threads for the placed
-// runs). --json writes the machine-readable row set consumed by
-// tools/bench_compare.py (see BENCH_baseline.json).
+// Default: N = 20000 arrivals per run. --json writes the machine-readable
+// row set consumed by tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <chrono>
 #include <cstdio>
@@ -99,13 +98,11 @@ struct Result {
 };
 
 db::Database::Options BaseOptions(bool snapshot, int64_t max_inflight,
-                                  int shards, int threads,
-                                  bool partition_parallel) {
+                                  int shards, bool partition_parallel) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.partition_parallel = partition_parallel;
   options.max_inflight = max_inflight;
   options.snapshot_reads = snapshot;
@@ -133,9 +130,9 @@ db::Database::CompletionCallback CountReads(Result* result) {
 }
 
 Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
-              int shards, int threads, bool partition_parallel) {
-  db::Database database(BaseOptions(snapshot, kReadMixCap, shards, threads,
-                                    partition_parallel));
+              int shards, bool partition_parallel) {
+  db::Database database(
+      BaseOptions(snapshot, kReadMixCap, shards, partition_parallel));
   db::TrafficOptions traffic = MixTraffic(read_fraction);
   traffic.num_arrivals = num_arrivals;
   db::TrafficEngine engine(traffic);
@@ -152,10 +149,9 @@ Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
 /// stream of wide read-only scans (its own engine, ids offset past every
 /// OLTP id). Uncapped — the gate is that the snapshot plane serves every
 /// scan while the writers keep sustaining, not that admission binds.
-Result RunScan(int num_arrivals, int shards, int threads,
-               bool partition_parallel) {
+Result RunScan(int num_arrivals, int shards, bool partition_parallel) {
   db::Database database(BaseOptions(/*snapshot=*/true, /*max_inflight=*/0,
-                                    shards, threads, partition_parallel));
+                                    shards, partition_parallel));
   db::TrafficOptions oltp;
   oltp.process = db::ArrivalProcess::kPoisson;
   oltp.mean_gap = 40.0;
@@ -211,18 +207,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_arrivals = 20000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -231,9 +223,9 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 8 partitions, transfer writers + %d-key reads "
       "over 4096 Zipf(0.99) keys,\nPoisson mean gap %.0f against "
-      "max_inflight = %lld, placement check on 4 shards / %d threads\n",
+      "max_inflight = %lld, placement check on 4 shards\n",
       num_arrivals, MixTraffic(0.5).reads_per_tx, kReadMixGap,
-      static_cast<long long>(kReadMixCap), threads);
+      static_cast<long long>(kReadMixCap));
 
   JsonBenchReport report("db_readmix", num_arrivals);
   bool diverged = false;
@@ -282,10 +274,10 @@ int main(int argc, char** argv) {
   for (double fraction : {0.5, 0.9, 0.99}) {
     Result pair[2];  // [0] = snapshot off (locked reads), [1] = on
     for (int snapshot = 0; snapshot <= 1; ++snapshot) {
-      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1, 1,
+      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1,
                              /*partition_parallel=*/false);
       Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4,
-                             threads, /*partition_parallel=*/true);
+                             /*partition_parallel=*/true);
       bool identical = check_identity(serial, placed);
       char label[64];
       std::snprintf(label, sizeof(label), "read=%.2f/snapshot=%d", fraction,
@@ -338,9 +330,8 @@ int main(int argc, char** argv) {
   std::printf("\nscan stream beside OLTP writers (snapshot on)\n");
   PrintRule();
   {
-    Result serial = RunScan(num_arrivals, 1, 1, /*partition_parallel=*/false);
-    Result placed = RunScan(num_arrivals, 4, threads,
-                            /*partition_parallel=*/true);
+    Result serial = RunScan(num_arrivals, 1, /*partition_parallel=*/false);
+    Result placed = RunScan(num_arrivals, 4, /*partition_parallel=*/true);
     bool identical = check_identity(serial, placed);
     PrintResult("scan+oltp/snapshot=1", placed, identical);
     add_row("inbac/scan+oltp/snapshot=1", placed);

@@ -1,12 +1,11 @@
-// Sharded-simulator scaling: the same 100k-transaction workload drained on
-// one event queue vs N per-shard queues with M worker threads, with
-// partition data-path work (Prepare/apply/release) executing on-shard via
-// the partition plane (db/partition_plane.h) or inline on the control
-// plane.
+// Sharded-simulator placement: the same 100k-transaction workload drained
+// on one event queue vs N per-shard queues, with partition data-path work
+// (Prepare/apply/release) executing through the partition plane
+// (db/partition_plane.h) or inline on the control plane.
 //
-// Measures, per (protocol, {shards, threads, prepare placement}):
+// Measures, per (protocol, {shards, prepare placement}):
 //   - committed transactions per wall-clock second and the speedup over
-//     the serial baseline (shards=1, threads=1, prepare inline);
+//     the serial baseline (shards=1, prepare inline);
 //   - bitwise equality of DatabaseStats against the baseline — the sharded
 //     merge rule's and the partition plane's determinism gate at bench
 //     scale;
@@ -15,22 +14,20 @@
 // Transactions arrive in bursts (kBurst at one instant, then a gap with the
 // same long-run arrival rate as bench_db_throughput's steady 40-tick
 // spacing). Bursts model group-commit-style admission and give the merge
-// loop wide conflict-free windows, which is where multi-core drains pay off.
+// loop wide conflict-free windows.
 //
 // Usage:
-//   bench_db_sharded [--txs N] [--threads M] [--json PATH]
+//   bench_db_sharded [--txs N] [--json PATH]
 //
-// Default: N = 100000, M = 4 (threads used for the threaded configs).
-// --json writes the machine-readable row set (per-config wall clock and
-// speedup — the multi-core scaling curve CI records as an artifact — plus
-// the deterministic simulated metrics the compare gate checks).
+// Default: N = 100000. --json writes the machine-readable row set
+// (per-config wall clock and speedup, plus the deterministic simulated
+// metrics the compare gate checks).
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -48,7 +45,6 @@ constexpr sim::Time kMeanArrivalGap = 40;  // ticks per tx, long-run average
 struct Config {
   const char* name;
   int shards;
-  int threads;
   /// Prepare on-shard (db/partition_plane.h) vs inline on the control
   /// plane; a placement knob, so stats must not move with it.
   bool partition_parallel = true;
@@ -66,7 +62,6 @@ Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
   options.num_partitions = 8;
   options.protocol = protocol;
   options.num_shards = config.shards;
-  options.num_threads = config.threads;
   options.partition_parallel = config.partition_parallel;
   db::Database database(options);
 
@@ -111,18 +106,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_txs = 100000;
-  int threads = 4;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -136,26 +127,18 @@ int main(int argc, char** argv) {
   const Config kConfigs[] = {
       // Single-queue, prepare inline: the fully serial reference the
       // divergence gate measures every placement against.
-      {"1 shard  / 1t inline", 1, 1, false},
-      {"1 shard  / 1 thread", 1, 1, true},
-      {"4 shards / 1 thread", 4, 1, true},
-      {"4 shards / N threads", 4, threads, true},
-      {"8 shards / N threads", 8, threads, true},
-      {"8 shards / Nt inline", 8, threads, false},
+      {"1 shard  / inline", 1, false},
+      {"1 shard", 1, true},
+      {"4 shards", 4, true},
+      {"8 shards", 8, true},
+      {"8 shards / inline", 8, false},
   };
 
-  PrintHeader("DB commit throughput: sharded event queues + worker threads");
-  unsigned cores = std::thread::hardware_concurrency();
+  PrintHeader("DB commit throughput: sharded event queues");
   std::printf(
       "%d transactions per run, transfer workload, 8 partitions, bursts of "
-      "%d, N = %d threads, %u hardware core%s\n",
-      num_txs, kBurst, threads, cores, cores == 1 ? "" : "s");
-  if (cores != 0 && static_cast<int>(cores) < threads) {
-    std::printf(
-        "NOTE: fewer cores than threads — threaded configs cannot show "
-        "wall-clock scaling on this machine (expect ~1x or a small "
-        "barrier overhead); determinism results remain meaningful.\n");
-  }
+      "%d\n",
+      num_txs, kBurst);
 
   JsonBenchReport report("db_sharded", num_txs);
   bool diverged = false;
@@ -165,19 +148,16 @@ int main(int argc, char** argv) {
     Result base;
     for (const Config& config : kConfigs) {
       Result r = RunOne(protocol, num_txs, config);
-      // The serial reference is the first config (1 shard, 1 thread,
-      // prepare inline); every other placement — including the threaded
-      // prepare-on-shard drains — must match it bitwise.
-      if (config.shards == 1 && config.threads == 1 &&
-          !config.partition_parallel) {
+      // The serial reference is the first config (1 shard, prepare
+      // inline); every other placement must match it bitwise.
+      if (config.shards == 1 && !config.partition_parallel) {
         base = r;
       }
       if (r.stats != base.stats) diverged = true;
       PrintResult(config, r, base);
       report
           .AddRow(std::string(core::ProtocolName(protocol)) + "/shards=" +
-                  std::to_string(config.shards) + "/threads=" +
-                  std::to_string(config.threads) +
+                  std::to_string(config.shards) +
                   (config.partition_parallel ? "" : "/inline"))
           .Set("committed", r.stats.committed)
           .Set("prepare_on_shard",

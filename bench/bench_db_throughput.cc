@@ -150,18 +150,13 @@ double OpReadFraction(const std::vector<db::Transaction>& txs) {
 }
 
 Result RunAblation(const std::vector<db::Transaction>& txs,
-                   db::ConcurrencyMode mode, int num_shards = 1,
-                   int num_threads = 1, bool partition_parallel = true,
-                   bool conflict_lookahead = false) {
+                   db::ConcurrencyMode mode, int num_shards = 1) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
   options.concurrency = mode;
   options.max_attempts = 1;  // no retries: committed counts are goodput
   options.num_shards = num_shards;
-  options.num_threads = num_threads;
-  options.partition_parallel = partition_parallel;
-  options.conflict_lookahead = conflict_lookahead;
   db::Database database(options);
 
   auto start = Clock::now();
@@ -341,13 +336,10 @@ int main(int argc, char** argv) {
                     speedup, kOccSpeedupGate, spec.key);
       }
       // Placement-determinism gate for the OCC path: the same seed must
-      // produce bitwise-identical stats on a spread placement (8 shards,
-      // 2 threads, conflict lookahead on) as on the single-shard
-      // single-thread reference above.
+      // produce bitwise-identical stats on a spread placement (8 shards)
+      // as on the single-shard reference above.
       Result occ_spread =
-          RunAblation(txs, db::ConcurrencyMode::kOCC, /*num_shards=*/8,
-                      /*num_threads=*/2, /*partition_parallel=*/true,
-                      /*conflict_lookahead=*/true);
+          RunAblation(txs, db::ConcurrencyMode::kOCC, /*num_shards=*/8);
       if (occ_spread.stats != occ.stats) {
         diverged = true;
         std::printf("  -> OCC placement determinism DIVERGED on %s\n",

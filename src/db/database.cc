@@ -78,7 +78,6 @@ namespace {
 sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
   sim::ShardedSimulator::Options sim_options;
   sim_options.num_shards = options.num_shards;
-  sim_options.num_threads = options.num_threads;
   // The only control events scheduled from completion effects are retries,
   // and the earliest retry lands backoff >= unit * retry_backoff_units + 1
   // ticks after the decide instant (attempt >= 1, random part >= 1). That
@@ -109,7 +108,7 @@ Database::Database(const Options& options)
     : options_(options),
       sim_(SimOptions(options)),
       rng_(options.seed),
-      plane_(options.num_partitions, sim_.num_shards(), options.concurrency,
+      plane_(options.num_partitions, 1, options.concurrency,
              options.num_regions),
       pool_(options.protocol, options.consensus, options.protocol_options,
             options.unit, options.pool_instances, GeoTopologyFor(options)) {
@@ -206,37 +205,10 @@ Participant& Database::partition(int index) {
 }
 
 void Database::FlushPartitionWork() {
-  plane_.Flush(&sim_);
+  plane_.Flush();
   // The flush just filled every pending snapshot read's value slots (their
   // tasks rode the same queues); finalize before anything can observe them.
   FinalizeSnapshotReads();
-  if (options_.check_invariants && LookaheadEnabled()) {
-    // Tracker soundness sweep: after a flush every enqueued finish has
-    // run, so any lock still held belongs to a transaction whose Finish is
-    // not yet enqueued — exactly the in-flight window the lookahead
-    // tracker must over-approximate. A held key missing from the tracker
-    // could hand a later conflicting transaction a false disjointness
-    // proof, and a predicted-kNo crash far from the cause.
-    auto check_tracked = [this](const Key& key, TxId tx) {
-      auto it = busy_key_counts_.find(HashKey(key));
-      FC_CHECK(it != busy_key_counts_.end() && it->second > 0)
-          << "conflict-lookahead tracker lost key '" << key
-          << "' still locked by tx " << tx;
-    };
-    for (int p = 0; p < plane_.num_partitions(); ++p) {
-      if (options_.concurrency == ConcurrencyMode::kOCC) {
-        // Under OCC the lock manager is idle; the held footprint to sweep
-        // is the version table's locked words (write locks held between a
-        // validated prepare and its finish).
-        plane_.partition(p).versions().ForEachLocked(
-            [&check_tracked](const Key& key, TxId tx, uint64_t) {
-              check_tracked(key, tx);
-            });
-      } else {
-        plane_.partition(p).locks().ForEachHeldKey(check_tracked);
-      }
-    }
-  }
 }
 
 int Database::ShardOf(TxId id) const {
@@ -306,15 +278,9 @@ void Database::PrepareTouched(const PendingTx& pending,
   // per-transaction node allocations.
   const std::vector<Op>& ops = pending.tx.ops;
   FC_CHECK(!ops.empty()) << "empty transaction";
-  const bool lookahead = LookaheadEnabled();
   route_.clear();
-  hash_scratch_.clear();
   for (size_t i = 0; i < ops.size(); ++i) {
-    uint64_t h = HashKey(ops[i].key);
-    route_.emplace_back(
-        static_cast<int>(h % static_cast<uint64_t>(options_.num_partitions)),
-        static_cast<int>(i));
-    if (lookahead) hash_scratch_.push_back(h);
+    route_.emplace_back(PartitionOf(ops[i].key), static_cast<int>(i));
   }
   std::sort(route_.begin(), route_.end());
 
@@ -328,31 +294,6 @@ void Database::PrepareTouched(const PendingTx& pending,
   // path, so the vector must reach its final size before any is taken.
   votes->assign(touched->size(), commit::Vote::kNo);
 
-  // Conflict-aware lookahead: if every key hash is disjoint from every
-  // in-flight transaction's, no-wait locking cannot deny this transaction
-  // a single lock (self-conflicts always succeed: exclusive subsumes
-  // shared, and a sole shared owner may upgrade), so each partition's vote
-  // is provably kYes and the flush barrier below can be skipped — the
-  // prepares drain at a later, fatter barrier. The check runs before this
-  // transaction's own hashes join the tracker, so its intra-transaction
-  // key reuse never blocks the proof.
-  bool predicted = false;
-  if (lookahead) {
-    predicted = true;
-    for (uint64_t h : hash_scratch_) {
-      if (busy_key_counts_.find(h) != busy_key_counts_.end()) {
-        predicted = false;
-        break;
-      }
-    }
-    for (uint64_t h : hash_scratch_) ++busy_key_counts_[h];
-    bool inserted =
-        inflight_key_hashes_.emplace(pending.tx.id, hash_scratch_).second;
-    FC_CHECK(inserted) << "tx " << pending.tx.id
-                       << " already tracked: a retry executed before its "
-                          "previous attempt's finish was enqueued";
-  }
-
   sim::Time now = sim_.control()->Now();
   size_t slot = 0;
   for (size_t i = 0; i < route_.size(); ++slot) {
@@ -362,13 +303,8 @@ void Database::PrepareTouched(const PendingTx& pending,
       for (; i < route_.size() && route_[i].first == partition_id; ++i) {
         group.push_back(ops[static_cast<size_t>(route_[i].second)]);
       }
-      if (predicted) {
-        plane_.EnqueuePredictedPrepare(partition_id, now, pending.tx.id,
-                                       std::move(group));
-      } else {
-        plane_.EnqueuePrepare(partition_id, now, pending.tx.id,
-                              std::move(group), &(*votes)[slot]);
-      }
+      plane_.EnqueuePrepare(partition_id, now, pending.tx.id,
+                            std::move(group), &(*votes)[slot]);
     } else {
       group_ops_.clear();
       for (; i < route_.size() && route_[i].first == partition_id; ++i) {
@@ -379,42 +315,17 @@ void Database::PrepareTouched(const PendingTx& pending,
     }
   }
   if (options_.partition_parallel) {
-    if (predicted) {
-      // No barrier: the proof stands in for the flush. The queued
-      // predicted prepares re-derive these votes at the next barrier and
-      // FC_CHECK the match.
-      votes->assign(touched->size(), commit::Vote::kYes);
-      ++lookahead_skips_;
-    } else {
-      // Barrier: deferred finishes run first (they were enqueued at
-      // earlier or equal instants), then this transaction's prepares —
-      // the same serial history the inline branch above produces. Votes
-      // are valid once this returns.
-      FlushPartitionWork();
-    }
+    // Barrier: deferred finishes run first (they were enqueued at earlier
+    // or equal instants), then this transaction's prepares — the same
+    // serial history the inline branch above produces. Votes are valid
+    // once this returns.
+    FlushPartitionWork();
   }
-}
-
-void Database::ReleaseTrackedKeys(TxId tx) {
-  auto it = inflight_key_hashes_.find(tx);
-  if (it == inflight_key_hashes_.end()) return;
-  for (uint64_t h : it->second) {
-    auto count = busy_key_counts_.find(h);
-    FC_CHECK(count != busy_key_counts_.end() && count->second > 0)
-        << "conflict-lookahead tracker underflow for tx " << tx;
-    if (--count->second == 0) busy_key_counts_.erase(count);
-  }
-  inflight_key_hashes_.erase(it);
 }
 
 void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
                                 commit::Decision decision, sim::Time at,
                                 int64_t csn) {
-  // The tracker can forget this transaction as soon as its finishes are
-  // *enqueued*: FIFO queue order guarantees they drain before any
-  // later-enqueued prepare on the same partitions, so a subsequent
-  // disjointness proof that no longer sees these keys is still sound.
-  if (LookaheadEnabled()) ReleaseTrackedKeys(tx);
   int64_t watermark =
       decision == commit::Decision::kCommit ? Watermark() : 0;
   for (int partition_id : touched) {
@@ -497,8 +408,7 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   // The inline path filled every slot synchronously above; mark them so
   // prefix finalization sees this read as complete.
   if (!options_.partition_parallel) {
-    read->filled.store(static_cast<int>(read->values.size()),
-                       std::memory_order_relaxed);
+    read->filled = static_cast<int>(read->values.size());
   }
   pending_reads_.push_back(std::move(read));
   // The inline path already filled the slots above; finalize in place so
@@ -517,7 +427,7 @@ void Database::FinalizeSnapshotReads() {
   // — exactly the old finalize-everything behavior.
   size_t done_count = 0;
   while (done_count < pending_reads_.size() &&
-         pending_reads_[done_count]->filled.load(std::memory_order_acquire) ==
+         pending_reads_[done_count]->filled ==
              static_cast<int>(pending_reads_[done_count]->values.size())) {
     ++done_count;
   }
@@ -580,9 +490,9 @@ void Database::Execute(PendingTx pending) {
     parked_.push_back(std::move(pending));
     return;
   }
-  // The read-only plane: checked before any routing, locking, or
-  // lookahead tracking, so a snapshot read leaves zero concurrency-control
-  // footprint in either mode (2PL locks and OCC version words alike).
+  // The read-only plane: checked before any routing or locking, so a
+  // snapshot read leaves zero concurrency-control footprint in either mode
+  // (2PL locks and OCC version words alike).
   if (options_.snapshot_reads && IsReadOnly(pending.tx)) {
     ExecuteSnapshotRead(std::move(pending));
     return;
@@ -867,11 +777,11 @@ void Database::StartRound(RoundState round, bool resumed) {
       [this, shard, lead, epoch, resumed, started = now,
        round = std::move(round)](CommitInstance* done_instance,
                                  commit::Decision decision) mutable {
-        // Runs on the shard (possibly a worker thread) at the decide
-        // instant: snapshot the instance-local results here — after Release
-        // the per-epoch counters belong to the next incarnation — and defer
-        // everything that touches shared state to a canonical-order
-        // completion effect on the control plane.
+        // Runs on the shard at the decide instant: snapshot the
+        // instance-local results here — after Release the per-epoch
+        // counters belong to the next incarnation — and defer everything
+        // that touches shared state to a canonical-order completion effect
+        // on the control plane.
         int64_t messages = done_instance->messages();
         int64_t cross_messages = done_instance->cross_messages();
         sim::Time finished = done_instance->finish_time();
@@ -1210,7 +1120,7 @@ void Database::FinishTx(const PendingTx& pending,
                         sim::Time finished_at) {
   // The CSN authority: every commit is stamped here, in canonical
   // control-plane order, so the sequence — and every snapshot derived
-  // from it — is identical on any shard/thread placement.
+  // from it — is identical on any shard placement.
   int64_t csn =
       decision == commit::Decision::kCommit ? ++last_csn_ : 0;
   FinishPartitions(pending.tx.id, touched, decision, finished_at, csn);
@@ -1262,8 +1172,6 @@ const DatabaseStats& Database::Drain() {
   FC_CHECK(inflight_ == 0) << "transactions still pending after drain";
   FC_CHECK(open_batches_.empty())
       << "open batches after drain: a window flush event was lost";
-  FC_CHECK(inflight_key_hashes_.empty() && busy_key_counts_.empty())
-      << "conflict-lookahead tracker not empty after drain";
   FC_CHECK(pending_reads_.empty())
       << "snapshot reads still pending after drain";
   FC_CHECK(active_snapshots_.empty())

@@ -1,12 +1,10 @@
 #ifndef FASTCOMMIT_DB_DATABASE_H_
 #define FASTCOMMIT_DB_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,7 +78,7 @@ class LatencyStats {
 /// Aggregate results of a database run. Memory is O(1) in transaction
 /// count; equality compares every workload-visible field, which both
 /// determinism gates rely on (tests/db_pool_test.cc for pooled vs rebuild,
-/// tests/db_shard_test.cc for shard counts and threaded drains).
+/// tests/db_shard_test.cc for shard counts).
 struct DatabaseStats {
   int64_t committed = 0;
   int64_t aborted = 0;           ///< gave up after max_attempts
@@ -159,20 +157,20 @@ struct DatabaseStats {
 /// messages (the paper's model advances time only on message delays within
 /// one instance), so shards interact with the control plane only through
 /// canonical-ordered completion effects — DatabaseStats for a given seed is
-/// bitwise identical for any shard count and for threaded vs
-/// single-threaded drains.
+/// bitwise identical for any shard count. Everything runs on the thread
+/// that calls Drain.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
 /// application, lock release) likewise runs off the control plane by
-/// default: each partition has an FNV-1a home shard and its work drains as
-/// shard-grouped tasks at deterministic flush barriers
-/// (db/partition_plane.h, Options::partition_parallel). The control plane
-/// keeps only transaction admission, batch formation, and retry/backoff.
+/// default: it drains as per-partition tasks at deterministic flush
+/// barriers (db/partition_plane.h, Options::partition_parallel). The
+/// control plane keeps only transaction admission, batch formation, and
+/// retry/backoff.
 class Database {
  public:
   /// Final outcome of a submitted transaction: the protocol's real
-  /// commit::Decision (after any retries), delivered from FinishTx. Runs on
-  /// the drain thread; must not call Submit or Drain.
+  /// commit::Decision (after any retries), delivered from FinishTx. Runs
+  /// inside Drain; must not call Submit or Drain.
   using CompletionCallback =
       std::function<void(const Transaction& tx, commit::Decision decision)>;
 
@@ -198,11 +196,11 @@ class Database {
     /// validation (db/version_table.h): execution reads are lock-free
     /// versioned reads, prepare runs lock-writes -> validate-reads, commit
     /// publishes the new versions — and the validation outcome *is* the
-    /// participant's vote, so every commit protocol, batching mode, round
-    /// merge, and lookahead path runs unchanged on top. Read-mostly
-    /// workloads keep readers invisible to each other and to writers
+    /// participant's vote, so every commit protocol, batching mode and
+    /// round merge runs unchanged on top. Read-mostly workloads keep
+    /// readers invisible to each other and to writers
     /// (bench_db_throughput --ablation-only quantifies the win); its stats
-    /// are bitwise identical across shard/thread placements, like k2PL's.
+    /// are bitwise identical across shard placements, like k2PL's.
     ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
     int max_attempts = 5;
     int64_t retry_backoff_units = 4;  ///< backoff = attempt * this * U
@@ -217,9 +215,6 @@ class Database {
     /// baseline. Any value yields bitwise-identical DatabaseStats for the
     /// same seed.
     int num_shards = 1;
-    /// Threads draining shards in parallel (1 = single-threaded). Also
-    /// stats-invariant.
-    int num_threads = 1;
     /// Group-commit batching window, in ticks. 0 (the default) disables
     /// batching entirely and takes the one-round-per-transaction path
     /// unchanged — bit-identical stats to a build without this feature
@@ -246,7 +241,7 @@ class Database {
     /// batch_adaptive = false it stays the fixed window for every set. The
     /// controllers live on the control plane keyed by the canonical sorted
     /// partition set, so adaptive decisions — like everything else — are
-    /// bitwise identical across shard/thread placements.
+    /// bitwise identical across shard placements.
     bool batch_adaptive = false;
     /// Upper clamp for adaptive windows, in ticks. <= 0 disables adaptive
     /// mode (batch_window rules alone).
@@ -274,20 +269,6 @@ class Database {
     /// kAbort — instead of joining an unbounded queue. 0 = admit
     /// everything. Directly-Submitted transactions are never shed.
     int64_t max_inflight = 0;
-    /// Conflict-aware barrier lookahead (partition-parallel path only):
-    /// the control plane tracks the FNV-1a key hashes of every in-flight
-    /// transaction (prepare enqueued, finish not yet enqueued). A new
-    /// transaction whose hashes are disjoint from all of them provably
-    /// receives kYes at every partition under no-wait locking, so its
-    /// prepares are enqueued as *predicted* tasks and its Execute skips
-    /// the flush barrier entirely — steady low-conflict arrivals ride
-    /// through with no barrier at all, and barriers that do happen drain
-    /// fatter task backlogs (better worker-pool amortization). Hash
-    /// collisions only ever force a conservative barrier, and the drain
-    /// FC_CHECKs every predicted vote, so results stay bitwise identical
-    /// to the barrier-per-transaction path (the placement fuzz harness
-    /// toggles this knob inside its identity gate).
-    bool conflict_lookahead = false;
     /// Lock-free snapshot reads: a submitted transaction whose every op is
     /// a kGet (db::IsReadOnly — both concurrency modes share the
     /// predicate) bypasses the commit protocol entirely. It is assigned
@@ -308,15 +289,14 @@ class Database {
     /// Partition-parallel execution (the default): partition data-path
     /// work — Prepare's lock acquisition, commit's write application,
     /// lock release — runs on the partition plane (db/partition_plane.h):
-    /// per-partition task queues homed on shards by FNV-1a over the
-    /// partition id and drained in parallel by the simulator's worker
-    /// pool at deterministic flush barriers, while the control plane
-    /// keeps only admission, batch formation, and retry/backoff. false
-    /// restores the inline baseline where every Participant call runs on
-    /// the control plane at its issue point. The plane's barriers replay
-    /// the serial history exactly, so DatabaseStats and BatchStats are
-    /// bitwise identical either way and across every shard/thread
-    /// placement (tests/db_placement_fuzz_test.cc).
+    /// per-partition task queues drained at deterministic flush barriers,
+    /// while the control plane keeps only admission, batch formation, and
+    /// retry/backoff. false restores the inline baseline where every
+    /// Participant call runs on the control plane at its issue point —
+    /// the serial reference the placement gates compare against. The
+    /// plane's barriers replay the serial history exactly, so
+    /// DatabaseStats and BatchStats are bitwise identical either way and
+    /// across every shard placement (tests/db_placement_fuzz_test.cc).
     bool partition_parallel = true;
     /// Replicated coordinator commit log (db/commit_log.h): every
     /// multi-partition round is appended as one slot whose votes replicate
@@ -365,7 +345,7 @@ class Database {
     /// coordinator crash at a chosen protocol step plus one timed
     /// participant crash, both driven by sim events at canonical
     /// control-plane points — so a crash schedule, like everything else,
-    /// is bitwise identical across shard/thread placements. Default
+    /// is bitwise identical across shard placements. Default
     /// (empty plan) injects nothing and changes nothing.
     FaultPlan fault_plan;
     /// Debug: sweep lock-manager and staging invariants over every
@@ -380,7 +360,7 @@ class Database {
   /// Counters of the batching path (all zero when batching is disabled —
   /// batch_max <= 1, or batch_window == 0 with adaptive mode off).
   /// Deliberately outside DatabaseStats: the determinism gates compare
-  /// DatabaseStats across shard counts, thread counts, and the
+  /// DatabaseStats across shard counts and the
   /// batching-off-vs-PR 2 path, and these counters describe the batching
   /// machinery rather than workload-visible outcomes.
   struct BatchStats {
@@ -535,11 +515,6 @@ class Database {
   /// Direct partition access; flushes pending partition-plane work first
   /// so the caller observes a quiescent partition.
   Participant& partition(int index);
-  /// Home shard of `partition`'s data-path work under partition-parallel
-  /// execution (Options::partition_parallel); stable FNV-1a placement.
-  int HomeShardOfPartition(int partition) const {
-    return plane_.HomeShardOf(partition);
-  }
   /// Shard that will host the commit instance of transaction `id`
   /// (deterministic in the id, independent of submission order).
   int ShardOf(TxId id) const;
@@ -611,7 +586,7 @@ class Database {
   }
   /// FNV-1a fold over every finalized snapshot read's values, in submit
   /// order — one number that must be bitwise identical across every
-  /// shard/thread placement and the inline path, which is how the tests
+  /// shard placement and the inline path, which is how the tests
   /// gate that snapshot *results* (not just stats) are placement
   /// invariant. Read it after a Drain.
   uint64_t read_fingerprint() const { return read_fingerprint_; }
@@ -630,11 +605,6 @@ class Database {
   /// on the inline path; outside DatabaseStats like the pool counters,
   /// since they describe execution machinery, not workload outcomes.
   const PartitionPlane& partition_plane() const { return plane_; }
-  /// Flush barriers skipped by conflict-aware lookahead
-  /// (Options::conflict_lookahead) — one per transaction whose disjointness
-  /// proof let its Execute proceed on predicted kYes votes. Execution
-  /// machinery, outside DatabaseStats.
-  int64_t lookahead_skips() const { return lookahead_skips_; }
   /// Fault-injection / recovery counters (see RecoveryStats); all zero
   /// with an empty fault plan.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
@@ -666,14 +636,13 @@ class Database {
     /// op index -> index into `values` of its partition's slot, for
     /// reassembling the results in op order at finalization.
     std::vector<int> op_slots;
-    /// Slots filled so far, bumped by the plane's drain workers (atomic:
-    /// one read spans partitions, hence threads). Finalization takes the
-    /// longest fully-filled *prefix* of pending_reads_, so a crashed
+    /// Slots filled so far, bumped by the plane's drain. Finalization takes
+    /// the longest fully-filled *prefix* of pending_reads_, so a crashed
     /// partition deferring its reads keeps later reads pending too and the
     /// submit-order fingerprint is preserved. With no participant crash
     /// every slot fills by the barrier and this equals the old
     /// finalize-everything behavior exactly.
-    std::atomic<int> filled{0};
+    int filled = 0;
   };
 
   /// One prepared transaction waiting in a batch. `votes` is aligned with
@@ -730,7 +699,7 @@ class Database {
   /// batch_adaptive). Control plane only: arrival gaps are observed from
   /// Execute events and conflict shares from completion effects, both of
   /// which run in canonical order — so the windows it picks are identical
-  /// for every shard/thread placement. EWMAs use integer arithmetic with
+  /// for every shard placement. EWMAs use integer arithmetic with
   /// alpha = 1/4.
   struct SetController {
     sim::Time last_arrival = -1;  ///< previous arrival instant; -1 = none
@@ -906,22 +875,6 @@ class Database {
                 const std::vector<int>& touched_partitions,
                 commit::Decision decision, sim::Time started,
                 sim::Time finished_at);
-  /// Conflict-aware lookahead is sound only where prepares run through
-  /// the plane's FIFO queues (the inline path has no barriers to skip) —
-  /// and never when a participant crash is planned: a down partition
-  /// answers prepares with kNo whatever the keys, so no disjointness
-  /// proof can predict kYes.
-  bool LookaheadEnabled() const {
-    return options_.conflict_lookahead && options_.partition_parallel &&
-           !options_.fault_plan.HasParticipantCrash();
-  }
-  /// Drops `tx`'s key hashes from the lookahead tracker. Called when its
-  /// Finish is *enqueued* — sound because a finish enqueued at time F
-  /// drains before any prepare enqueued at u >= F on the same partition
-  /// queue. Idempotent per attempt (a doomed batch member's partitions
-  /// finish twice: early release at enqueue, then at the decide instant).
-  void ReleaseTrackedKeys(TxId tx);
-
   Options options_;
   sim::ShardedSimulator sim_;
   sim::Rng rng_;
@@ -943,15 +896,6 @@ class Database {
   std::map<std::vector<int>, SetController> controllers_;
   int64_t next_batch_id_ = 1;
   BatchStats batch_stats_;
-  /// Conflict-lookahead tracker (control plane only): reference counts of
-  /// the FNV-1a key hashes of every in-flight transaction — prepare
-  /// enqueued, finish not yet enqueued — and the per-transaction hash
-  /// lists that release them. Over-approximates the set of locked keys
-  /// (collisions included), so a disjointness hit is always a proof.
-  std::unordered_map<uint64_t, int64_t> busy_key_counts_;
-  std::unordered_map<TxId, std::vector<uint64_t>> inflight_key_hashes_;
-  std::vector<uint64_t> hash_scratch_;  ///< reused per-Execute key hashes
-  int64_t lookahead_skips_ = 0;
   /// The CSN authority: the decide path (FinishTx, canonical control-plane
   /// order) stamps every committed transaction with ++last_csn_, so the
   /// CSN sequence — and everything derived from it — is placement

@@ -6,50 +6,16 @@
 
 namespace fastcommit::db {
 
-namespace {
-
-/// FNV-1a over the partition id's bytes — the same fully-specified hash
-/// family Database::PartitionOf uses for keys, so partition placement is
-/// identical on every platform (std::hash would not be).
-uint64_t HashPartitionId(int partition) {
-  uint64_t h = 14695981039346656037ULL;
-  auto value = static_cast<uint32_t>(partition);
-  for (int byte = 0; byte < 4; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-PartitionPlane::PartitionPlane(int num_partitions, int num_home_shards,
+PartitionPlane::PartitionPlane(int num_partitions, int /*unused*/,
                                ConcurrencyMode mode, int num_regions)
     : num_regions_(num_regions) {
   FC_CHECK(num_partitions >= 1) << "need at least one partition";
-  FC_CHECK(num_home_shards >= 1) << "need at least one home shard";
   FC_CHECK(num_regions >= 1) << "need at least one region";
   queues_.resize(static_cast<size_t>(num_partitions));
-  groups_.resize(static_cast<size_t>(num_home_shards));
   for (int p = 0; p < num_partitions; ++p) {
     queues_[static_cast<size_t>(p)].participant =
         std::make_unique<Participant>(p, mode);
-    groups_[static_cast<size_t>(HomeShardOf(p))].push_back(p);
   }
-  drain_group_ = [this](int group) {
-    // Runs on a worker thread during Flush. Only state owned by this
-    // group's partitions is touched: the participants themselves and the
-    // vote slots of their queued prepares (disjoint across partitions, so
-    // disjoint across groups).
-    for (int p : groups_[static_cast<size_t>(group)]) {
-      DrainQueue(queues_[static_cast<size_t>(p)]);
-    }
-  };
-}
-
-int PartitionPlane::HomeShardOf(int partition) const {
-  return static_cast<int>(HashPartitionId(partition) %
-                          static_cast<uint64_t>(groups_.size()));
 }
 
 int PartitionPlane::RegionOf(int partition) const {
@@ -96,24 +62,6 @@ void PartitionPlane::EnqueuePrepare(int partition, sim::Time at, TxId tx,
   ++pending_tasks_;
 }
 
-void PartitionPlane::EnqueuePredictedPrepare(int partition, sim::Time at,
-                                             TxId tx, std::vector<Op> ops) {
-  PartitionQueue& q = queue(partition);
-  FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: predicted prepare at " << at
-      << " after a task at " << q.last_enqueued_at;
-  q.last_enqueued_at = at;
-  Touch(partition);
-  // No vote slot: the drain may run long after the caller's votes vector
-  // has been moved into a commit instance, so a captured pointer would be
-  // a write through repurposed memory. The prediction is instead verified
-  // in DrainQueue against the real vote.
-  q.tasks.push_back(Task{TaskKind::kPredictedPrepare, tx,
-                         commit::Decision::kNone, 0, 0, nullptr, nullptr,
-                         std::move(ops)});
-  ++pending_tasks_;
-}
-
 void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
                                    commit::Decision decision, int64_t csn,
                                    int64_t gc_watermark) {
@@ -132,7 +80,7 @@ void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
                                          int64_t snapshot_csn,
                                          std::vector<Op> ops,
                                          std::vector<Value>* values_out,
-                                         std::atomic<int>* read_done) {
+                                         int* read_done) {
   FC_CHECK(values_out != nullptr) << "snapshot read task needs a value slot";
   PartitionQueue& q = queue(partition);
   FC_CHECK(at >= q.last_enqueued_at)
@@ -191,12 +139,6 @@ void PartitionPlane::DrainQueue(PartitionQueue& q) {
           *task.vote_out = commit::Vote::kNo;
           ++q.down_noes;
           continue;
-        case TaskKind::kPredictedPrepare:
-          // Lookahead is disabled whenever a participant crash is planned
-          // (Database ctor): a predicted-kYes task at a down partition
-          // could only mean that gate was bypassed.
-          FC_FAIL() << "predicted prepare drained at a down partition";
-          continue;
         case TaskKind::kFinish:
         case TaskKind::kSnapshotRead:
           // Crash holding locks: the finish (and any read behind it in
@@ -211,22 +153,13 @@ void PartitionPlane::DrainQueue(PartitionQueue& q) {
       case TaskKind::kPrepare:
         *task.vote_out = q.participant->Prepare(task.tx, task.ops);
         break;
-      case TaskKind::kPredictedPrepare: {
-        commit::Vote vote = q.participant->Prepare(task.tx, task.ops);
-        FC_CHECK(vote == commit::Vote::kYes)
-            << "conflict-lookahead misprediction: tx " << task.tx
-            << " voted No despite a disjointness proof";
-        break;
-      }
       case TaskKind::kFinish:
         q.participant->Finish(task.tx, task.decision, task.csn,
                               task.gc_watermark);
         break;
       case TaskKind::kSnapshotRead:
         q.participant->ReadAtSnapshot(task.csn, task.ops, task.values_out);
-        if (task.read_done != nullptr) {
-          task.read_done->fetch_add(1, std::memory_order_release);
-        }
+        if (task.read_done != nullptr) ++*task.read_done;
         break;
     }
   }
@@ -242,32 +175,13 @@ void PartitionPlane::ReclaimAndClear(PartitionQueue& q) {
   q.tasks.clear();
 }
 
-void PartitionPlane::Flush(sim::ShardedSimulator* sim) {
+void PartitionPlane::Flush(sim::ShardedSimulator* /*unused*/) {
   if (pending_tasks_ == 0) return;
-  // Worker dispatch only pays when several home-shard groups hold enough
-  // work to amortize the wake + join; the typical barrier (one
-  // transaction's prepares plus a few deferred finishes) drains inline.
-  // Either route produces identical state: partitions share nothing and
-  // each queue drains FIFO.
-  bool parallel = sim != nullptr && pending_tasks_ >= kParallelFlushMin;
-  if (parallel) {
-    group_has_work_.assign(groups_.size(), 0);
-    int busy_groups = 0;
-    for (int p : dirty_) {
-      char& flag = group_has_work_[static_cast<size_t>(HomeShardOf(p))];
-      busy_groups += flag == 0;
-      flag = 1;
-    }
-    parallel = busy_groups > 1;
+  for (int p : dirty_) {
+    PartitionQueue& q = queues_[static_cast<size_t>(p)];
+    DrainQueue(q);
+    ReclaimAndClear(q);
   }
-  if (parallel) {
-    sim->ParallelFor(static_cast<int>(groups_.size()), drain_group_);
-  } else {
-    for (int p : dirty_) DrainQueue(queues_[static_cast<size_t>(p)]);
-  }
-  // Back on the flushing thread (ParallelFor is a barrier): recycle the
-  // drained tasks' op buffers and reset the dirty queues.
-  for (int p : dirty_) ReclaimAndClear(queues_[static_cast<size_t>(p)]);
   dirty_.clear();
   tasks_drained_ += pending_tasks_;
   pending_tasks_ = 0;

@@ -1,16 +1,17 @@
 #ifndef FASTCOMMIT_DB_PARTITION_PLANE_H_
 #define FASTCOMMIT_DB_PARTITION_PLANE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "db/participant.h"
 #include "db/transaction.h"
-#include "sim/sharded_simulator.h"
 #include "sim/sim_time.h"
+
+namespace fastcommit::sim {
+class ShardedSimulator;
+}  // namespace fastcommit::sim
 
 namespace fastcommit::db {
 
@@ -43,35 +44,23 @@ namespace fastcommit::db {
 /// partition state, per-partition counters) are bitwise identical to
 /// inline execution (Database::Options::partition_parallel = false),
 /// which tests/db_placement_fuzz_test.cc gates across random placements.
-///
-/// ## Parallelism and determinism
-///
-/// Each partition has a *home shard* — FNV-1a over the partition id
-/// bytes, the same fully-specified hash family Database::PartitionOf uses
-/// for keys — and a flush drains each home shard's partition group on one
-/// worker (sim::ShardedSimulator::ParallelFor). Partitions share no
-/// state, every queue drains in canonical (time, tx id) enqueue order,
-/// and cross-partition interleaving is unobservable, so any worker
-/// schedule yields the same result; only wall-clock changes with the
-/// thread count.
+/// A flush drains the dirty queues one after another on the calling
+/// thread; partitions share no state, so the drain order between queues is
+/// unobservable.
 class PartitionPlane {
  public:
-  /// `num_home_shards` is the worker-group count, normally the sharded
-  /// simulator's shard count so partition flushes and instance drains
-  /// scale together. `mode` is the concurrency control every Participant
-  /// runs (Database::Options::concurrency). `num_regions` homes each
-  /// partition in a geo region (Database::Options::num_regions); 1 keeps
-  /// the single-latency-class world.
-  PartitionPlane(int num_partitions, int num_home_shards,
+  /// `mode` is the concurrency control every Participant runs
+  /// (Database::Options::concurrency). `num_regions` homes each partition
+  /// in a geo region (Database::Options::num_regions); 1 keeps the
+  /// single-latency-class world.
+  // Unused 2nd arg: kept for perfbench/replay.cc until that file changes.
+  PartitionPlane(int num_partitions, int /*unused*/,
                  ConcurrencyMode mode = ConcurrencyMode::k2PL,
                  int num_regions = 1);
   PartitionPlane(const PartitionPlane&) = delete;
   PartitionPlane& operator=(const PartitionPlane&) = delete;
 
   int num_partitions() const { return static_cast<int>(queues_.size()); }
-  /// Home shard (worker group) of `partition`; stable FNV-1a placement,
-  /// independent of arrival order and load.
-  int HomeShardOf(int partition) const;
   /// Geo region of `partition`: round-robin homing (partition mod regions),
   /// deliberately *not* hashed — region assignment is part of the modeled
   /// deployment, so workloads pick their region mix by picking partitions.
@@ -91,16 +80,6 @@ class PartitionPlane {
   /// until then (Database::Execute flushes before its votes vector dies).
   void EnqueuePrepare(int partition, sim::Time at, TxId tx,
                       std::vector<Op> ops, commit::Vote* vote_out);
-
-  /// Queues a Prepare whose vote the control plane already *predicted* as
-  /// kYes (conflict-aware lookahead: the transaction's keys are provably
-  /// disjoint from every in-flight transaction's, so no lock acquisition
-  /// can fail). No vote slot is captured and no barrier is needed before
-  /// the caller proceeds; the drain FC_CHECKs the real vote against the
-  /// prediction, so a tracker bug dies loudly instead of committing a
-  /// conflicted transaction.
-  void EnqueuePredictedPrepare(int partition, sim::Time at, TxId tx,
-                               std::vector<Op> ops);
 
   /// Queues a Finish (apply staged writes on commit, release locks) of
   /// `tx` at `partition`. Deferred until the next barrier. `csn` is the
@@ -123,11 +102,10 @@ class PartitionPlane {
   /// `read_done` (optional) is bumped once when the read executes — the
   /// database's filled-slot counter for prefix finalization, needed
   /// because a crashed partition defers its reads past the next barrier.
-  /// Atomic: one read's slots span partitions, hence worker threads.
   void EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
                            int64_t snapshot_csn, std::vector<Op> ops,
                            std::vector<Value>* values_out,
-                           std::atomic<int>* read_done = nullptr);
+                           int* read_done = nullptr);
 
   bool has_pending() const { return pending_tasks_ > 0; }
 
@@ -147,14 +125,14 @@ class PartitionPlane {
   }
   /// Tasks ever deferred by down partitions / prepares refused while down,
   /// summed over partitions. Machinery counters, not part of stats
-  /// equality (per-queue, so worker drains never contend).
+  /// equality.
   int64_t deferred_tasks_total() const;
   int64_t down_vote_noes() const;
 
-  /// Drains every queue to empty. `sim` non-null runs home-shard groups
-  /// through its worker pool (ParallelFor); null drains inline in group
-  /// order. Results are identical either way. No-op with nothing pending.
-  void Flush(sim::ShardedSimulator* sim);
+  /// Drains every dirty queue to empty, in first-task order. No-op with
+  /// nothing pending.
+  // Unused arg: kept for perfbench/replay.cc until that file changes.
+  void Flush(sim::ShardedSimulator* /*unused*/ = nullptr);
 
   /// When on, Flush ends with Participant::CheckInvariants over every
   /// partition — the debug hook tests/lock_invariant_test.cc stresses.
@@ -171,10 +149,9 @@ class PartitionPlane {
   /// against the queue's last_enqueued_at and not stored: FIFO drain
   /// preserves it.
   enum class TaskKind : uint8_t {
-    kPrepare,           ///< run Prepare, write the vote to `vote_out`
-    kPredictedPrepare,  ///< run Prepare, FC_CHECK the vote is kYes
-    kFinish,            ///< run Finish with `decision` at `csn`
-    kSnapshotRead,      ///< run ReadAtSnapshot(csn) into `values_out`
+    kPrepare,       ///< run Prepare, write the vote to `vote_out`
+    kFinish,        ///< run Finish with `decision` at `csn`
+    kSnapshotRead,  ///< run ReadAtSnapshot(csn) into `values_out`
   };
   struct Task {
     TaskKind kind = TaskKind::kFinish;
@@ -186,7 +163,7 @@ class PartitionPlane {
     commit::Vote* vote_out = nullptr;
     std::vector<Value>* values_out = nullptr;  ///< kSnapshotRead only
     std::vector<Op> ops;
-    std::atomic<int>* read_done = nullptr;  ///< kSnapshotRead only
+    int* read_done = nullptr;  ///< kSnapshotRead only
   };
 
   struct PartitionQueue {
@@ -196,38 +173,26 @@ class PartitionPlane {
     /// (the control plane issues tasks in merged virtual-time order).
     sim::Time last_enqueued_at = 0;
     /// Fault injection: while down, drains defer finishes/reads here (FIFO)
-    /// and answer prepares with kNo. Only the draining worker and the
-    /// control plane (between flushes) touch these.
+    /// and answer prepares with kNo.
     bool down = false;
     std::vector<Task> deferred;
     int64_t deferred_total = 0;
     int64_t down_noes = 0;
   };
 
-  /// Worker dispatch pays a wake + join round trip (~microseconds);
-  /// below this many pending tasks a flush drains inline on the calling
-  /// thread — the common case, since a transaction's own barrier carries
-  /// only its prepares plus a few deferred finishes. Large finish
-  /// backlogs (batched rounds deciding many members) go parallel.
-  static constexpr int64_t kParallelFlushMin = 16;
-
   PartitionQueue& queue(int partition);
   /// Marks a partition dirty on its first pending task.
   void Touch(int partition);
-  /// Executes one queue's tasks in FIFO order — the single dispatch site
-  /// both the parallel (drain_group_) and inline flush routes share.
+  /// Executes one queue's tasks in FIFO order.
   void DrainQueue(PartitionQueue& q);
   void ReclaimAndClear(PartitionQueue& q);
 
   std::vector<PartitionQueue> queues_;
-  std::vector<std::vector<int>> groups_;  ///< home shard -> partition ids
-  int num_regions_ = 1;                   ///< geo regions (RegionOf modulus)
-  std::function<void(int)> drain_group_;  ///< reused ParallelFor body
+  int num_regions_ = 1;  ///< geo regions (RegionOf modulus)
   /// Partitions with pending tasks, in first-task order (deterministic:
   /// the control plane enqueues canonically; and partition order is
   /// unobservable anyway — partitions share no state).
   std::vector<int> dirty_;
-  std::vector<char> group_has_work_;  ///< reused per-flush scratch
   std::vector<std::vector<Op>> spare_ops_;  ///< recycled task op buffers
   int64_t pending_tasks_ = 0;
   int64_t flushes_ = 0;

@@ -1,8 +1,8 @@
 // Gates for adaptive cross-set group commit (Options::batch_adaptive /
 // batch_window_max / batch_cross_set) and cancellable flush timers:
 //   - adaptive + cross-set runs are bitwise deterministic: DatabaseStats
-//     AND BatchStats identical across shard counts {1, 2, 8} and threaded
-//     vs single-threaded drains, for every commit protocol;
+//     AND BatchStats identical across shard counts {1, 2, 8}, for every
+//     commit protocol;
 //   - cross-set admission: a transaction whose partition set is a subset
 //     of an open round's set joins that round (kYes at untouched
 //     partitions), commits with it, and a conflicting joiner aborts alone;
@@ -28,7 +28,7 @@ namespace fastcommit::db {
 namespace {
 
 Database::Options AdaptiveOptions(core::ProtocolKind protocol,
-                                  int num_shards = 1, int num_threads = 1) {
+                                  int num_shards = 1) {
   Database::Options options;
   options.num_partitions = 4;
   options.protocol = protocol;
@@ -37,7 +37,6 @@ Database::Options AdaptiveOptions(core::ProtocolKind protocol,
   options.batch_window_max = 800;
   options.batch_cross_set = true;
   options.num_shards = num_shards;
-  options.num_threads = num_threads;
   return options;
 }
 
@@ -92,22 +91,17 @@ class AdaptiveBatchProtocolTest
 // The whole adaptive/cross-set machinery lives on the control plane, keyed
 // by canonical sorted partition sets — so every counter it produces, not
 // just the workload-visible DatabaseStats, must be placement invariant.
-TEST_P(AdaptiveBatchProtocolTest, StatsIdenticalAcrossShardsAndThreads) {
+TEST_P(AdaptiveBatchProtocolTest, StatsIdenticalAcrossShards) {
   RunOutput baseline = RunTransfer(AdaptiveOptions(GetParam()), 99);
   EXPECT_GT(baseline.stats.committed, 0);
   for (int shards : {1, 2, 8}) {
-    for (int threads : {1, 4}) {
-      RunOutput placed =
-          RunTransfer(AdaptiveOptions(GetParam(), shards, threads), 99);
-      EXPECT_EQ(placed.stats, baseline.stats)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(placed.batch, baseline.batch)
-          << "shards=" << shards << " threads=" << threads;
-    }
+    RunOutput placed = RunTransfer(AdaptiveOptions(GetParam(), shards), 99);
+    EXPECT_EQ(placed.stats, baseline.stats) << "shards=" << shards;
+    EXPECT_EQ(placed.batch, baseline.batch) << "shards=" << shards;
   }
 
   RunOutput hot = RunHotspot(AdaptiveOptions(GetParam()), 7);
-  RunOutput hot_placed = RunHotspot(AdaptiveOptions(GetParam(), 8, 4), 7);
+  RunOutput hot_placed = RunHotspot(AdaptiveOptions(GetParam(), 8), 7);
   EXPECT_EQ(hot.stats, hot_placed.stats);
   EXPECT_EQ(hot.batch, hot_placed.batch);
   EXPECT_GT(hot.stats.retries, 0) << "hotspot contention should retry";
@@ -282,12 +276,9 @@ TEST(CancelledTimerTest, SizeFlushedBatchNoLongerStretchesMakespan) {
 TEST(BatchCounterTest, ExactCountersUnderFixedSeedStableAcrossPlacements) {
   RunOutput one = RunHotspot(AdaptiveOptions(core::ProtocolKind::kInbac), 7);
   for (int shards : {2, 8}) {
-    for (int threads : {1, 4}) {
-      RunOutput placed = RunHotspot(
-          AdaptiveOptions(core::ProtocolKind::kInbac, shards, threads), 7);
-      EXPECT_EQ(placed.batch, one.batch)
-          << "shards=" << shards << " threads=" << threads;
-    }
+    RunOutput placed =
+        RunHotspot(AdaptiveOptions(core::ProtocolKind::kInbac, shards), 7);
+    EXPECT_EQ(placed.batch, one.batch) << "shards=" << shards;
   }
   EXPECT_EQ(one.batch.rounds, 143);
   EXPECT_EQ(one.batch.members, 1115);

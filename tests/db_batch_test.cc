@@ -2,7 +2,7 @@
 // batch_max):
 //   - batch_window = 0 takes the one-round-per-transaction path unchanged:
 //     bitwise-identical DatabaseStats to a default-options run, for shard
-//     counts {1, 2, 8} and threaded vs single-threaded drains;
+//     counts {1, 2, 8};
 //   - with batching enabled, DatabaseStats stay bitwise identical across
 //     the same placements, and commit messages per committed transaction
 //     drop measurably on the transfer and hotspot workloads;
@@ -25,13 +25,12 @@ namespace fastcommit::db {
 namespace {
 
 Database::Options BatchOptions(core::ProtocolKind protocol, sim::Time window,
-                               int num_shards = 1, int num_threads = 1) {
+                               int num_shards = 1) {
   Database::Options options;
   options.num_partitions = 4;
   options.protocol = protocol;
   options.batch_window = window;
   options.num_shards = num_shards;
-  options.num_threads = num_threads;
   return options;
 }
 
@@ -72,30 +71,22 @@ TEST_P(BatchProtocolTest, WindowZeroReproducesUnbatchedStatsBitwise) {
   defaults.batch_window = 0;  // explicit: the documented "disabled" value
   DatabaseStats baseline = RunTransfer(defaults, 99);
   for (int shards : {1, 2, 8}) {
-    for (int threads : {1, 4}) {
-      DatabaseStats stats =
-          RunTransfer(BatchOptions(GetParam(), 0, shards, threads), 99);
-      EXPECT_EQ(stats, baseline)
-          << "shards=" << shards << " threads=" << threads;
-    }
+    DatabaseStats stats = RunTransfer(BatchOptions(GetParam(), 0, shards), 99);
+    EXPECT_EQ(stats, baseline) << "shards=" << shards;
   }
   EXPECT_GT(baseline.committed, 0);
 }
 
-TEST_P(BatchProtocolTest, BatchedStatsIdenticalAcrossShardsAndThreads) {
+TEST_P(BatchProtocolTest, BatchedStatsIdenticalAcrossShards) {
   DatabaseStats baseline = RunTransfer(BatchOptions(GetParam(), 400), 99);
   for (int shards : {2, 8}) {
-    for (int threads : {1, 4}) {
-      DatabaseStats stats =
-          RunTransfer(BatchOptions(GetParam(), 400, shards, threads), 99);
-      EXPECT_EQ(stats, baseline)
-          << "shards=" << shards << " threads=" << threads;
-    }
+    DatabaseStats stats =
+        RunTransfer(BatchOptions(GetParam(), 400, shards), 99);
+    EXPECT_EQ(stats, baseline) << "shards=" << shards;
   }
   DatabaseStats hot_one = RunHotspot(BatchOptions(GetParam(), 400), 7);
-  DatabaseStats hot_threaded =
-      RunHotspot(BatchOptions(GetParam(), 400, 8, 4), 7);
-  EXPECT_EQ(hot_one, hot_threaded);
+  DatabaseStats hot_eight = RunHotspot(BatchOptions(GetParam(), 400, 8), 7);
+  EXPECT_EQ(hot_one, hot_eight);
   EXPECT_GT(hot_one.retries, 0) << "hotspot contention should cause retries";
 }
 
@@ -263,10 +254,9 @@ TEST(BatchRoundTest, SinglePartitionTransactionsBypassBatching) {
       << "a single-partition commit must not wait for any window";
 }
 
-TEST(BatchRoundTest, TransfersConserveBalanceUnderBatchedThreadedDrain) {
+TEST(BatchRoundTest, TransfersConserveBalanceUnderBatchedShardedDrain) {
   Database::Options options =
-      BatchOptions(core::ProtocolKind::kInbac, 600, /*num_shards=*/8,
-                   /*num_threads=*/4);
+      BatchOptions(core::ProtocolKind::kInbac, 600, /*num_shards=*/8);
   Database db(options);
   const int kAccounts = 80;
   const int64_t kInitial = 1000;

@@ -1,13 +1,11 @@
 // Randomized placement-determinism harness: for ~50 random database
 // configurations (protocol × workload × batching knobs × closed- or
 // open-loop submission), the same seed must produce bitwise-identical
-// DatabaseStats AND BatchStats for every *placement* — shard count, thread
-// count, partition-parallel execution on/off, and conflict-aware lookahead
-// on/off (lookahead only moves barriers, never results, so it is a
-// placement knob by construction and belongs inside the identity gate).
-// Placement knobs decide where work runs, never what it computes; this
-// harness fuzzes the whole knob space instead of the hand-picked grids of
-// db_shard_test / db_batch_test / db_adaptive_batch tests.
+// DatabaseStats AND BatchStats for every *placement* — shard count and
+// partition-parallel execution on/off. Placement knobs decide where work
+// runs, never what it computes; this harness fuzzes the whole knob space
+// instead of the hand-picked grids of db_shard_test / db_batch_test /
+// db_adaptive_batch tests.
 //
 // Reproducing a failure: every EXPECT carries the drawn base seed and the
 // per-config seed via SCOPED_TRACE, and the base seed can be pinned with
@@ -119,17 +117,12 @@ struct FuzzConfig {
 
 struct Placement {
   int num_shards = 1;
-  int num_threads = 1;
   bool partition_parallel = false;
-  /// Stats-invariant by construction (Options::conflict_lookahead): only
-  /// barrier placement changes, so it rides inside the identity gate.
-  bool conflict_lookahead = false;
 
   std::string Describe() const {
     std::ostringstream out;
-    out << "shards=" << num_shards << " threads=" << num_threads
-        << " partition_parallel=" << partition_parallel
-        << " lookahead=" << conflict_lookahead;
+    out << "shards=" << num_shards
+        << " partition_parallel=" << partition_parallel;
     return out.str();
   }
 };
@@ -305,19 +298,16 @@ RunResult RunOne(const FuzzConfig& config, const Placement& placement) {
   options.cross_region_units_max = config.cross_region_units_max;
   options.geo_co_coordinators = config.geo_co_coordinators;
   options.num_shards = placement.num_shards;
-  options.num_threads = placement.num_threads;
   options.partition_parallel = placement.partition_parallel;
   // A participant crash needs partition queues to defer work in, so that
   // dim pins the plane on for every placement (including the serial
-  // reference — the identity gate then spans shard/thread counts only).
+  // reference — the identity gate then spans shard counts only).
   if (config.fault_plan.HasParticipantCrash()) {
     options.partition_parallel = true;
   }
-  options.conflict_lookahead = placement.conflict_lookahead;
   // Cheap extra teeth: every flush barrier sweeps the per-partition lock
   // (or, under OCC, version-table) invariants — only observed on the
-  // partition-parallel path — and, with lookahead on, the
-  // tracker-vs-held-footprint soundness cross-check.
+  // partition-parallel path.
   options.check_invariants = true;
   Database database(options);
   RunResult result;
@@ -358,10 +348,9 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
   for (int i = 0; i < kConfigs; ++i) {
     FuzzConfig config = DrawConfig(rng);
     SCOPED_TRACE("config " + std::to_string(i) + ": " + config.Describe());
-    // Reference placement: single queue, single thread, inline partition
-    // execution, no lookahead — the fully serial interpreter of the
-    // configuration.
-    RunResult reference = RunOne(config, Placement{1, 1, false, false});
+    // Reference placement: single queue, inline partition execution — the
+    // fully serial interpreter of the configuration.
+    RunResult reference = RunOne(config, Placement{1, false});
     ASSERT_EQ(reference.stats.committed + reference.stats.aborted +
                   reference.stats.shed + reference.stats.read_only_committed,
               config.num_txs)
@@ -369,16 +358,14 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
 
     // Always cover the acceptance grid's extremes, then random fill.
     std::vector<Placement> placements = {
-        Placement{1, 1, true, false},
-        Placement{8, 4, true, true},
+        Placement{1, true},
+        Placement{8, true},
     };
     for (int extra = 0; extra < 2; ++extra) {
       Placement p;
       const int kShardChoices[] = {1, 2, 3, 8};
       p.num_shards = kShardChoices[rng.Next() % 4];
-      p.num_threads = static_cast<int>(rng.UniformInt(1, 4));
       p.partition_parallel = rng.Chance(0.75);
-      p.conflict_lookahead = rng.Chance(0.5);
       placements.push_back(p);
     }
     for (const Placement& placement : placements) {
@@ -402,7 +389,7 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
 }
 
 // The acceptance grid, exactly as ISSUE 5 states it: partition-parallel on
-// vs off across 1/2/8 shards × 1/4 threads for InBAC/2PC/PaxosCommit with
+// vs off across 1/2/8 shards for InBAC/2PC/PaxosCommit with
 // adaptive + cross-set batching enabled. (The fuzz loop above usually
 // covers this space too, but the criterion deserves a deterministic gate
 // that does not depend on what the RNG happened to draw.)
@@ -424,25 +411,23 @@ TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
     config.batch_cross_set = true;
     config.seed = 0xA11CE;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, Placement{1, false});
     EXPECT_GT(reference.batch.rounds, 0) << "batching path never engaged";
     for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-        }
+      for (bool parallel : {false, true}) {
+        Placement placement{shards, parallel};
+        SCOPED_TRACE("placement: " + placement.Describe());
+        RunResult run = RunOne(config, placement);
+        EXPECT_EQ(reference.stats, run.stats);
+        EXPECT_EQ(reference.batch, run.batch);
       }
     }
   }
 }
 
 // The OCC acceptance grid: version-lock validation must be bitwise
-// placement-invariant exactly like 2PL — 1/2/8 shards × 1/4 threads ×
-// partition-parallel on/off, on a contended hotspot workload with real
+// placement-invariant exactly like 2PL — 1/2/8 shards × partition-parallel
+// on/off, on a contended hotspot workload with real
 // validation failures and retries in play.
 TEST(PlacementFuzzTest, AcceptanceGridOcc) {
   const core::ProtocolKind kProtocols[] = {core::ProtocolKind::kInbac,
@@ -458,21 +443,18 @@ TEST(PlacementFuzzTest, AcceptanceGridOcc) {
     config.arrival_gap = 15;
     config.seed = 0xBEEF;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, Placement{1, false});
     EXPECT_GT(reference.stats.abort_validation_failures, 0)
         << "hotspot run never exercised OCC validation failure";
     EXPECT_EQ(reference.stats.abort_lock_conflicts, 0)
         << "2PL abort bucket counted under OCC";
     for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel,
-                              /*conflict_lookahead=*/parallel};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-        }
+      for (bool parallel : {false, true}) {
+        Placement placement{shards, parallel};
+        SCOPED_TRACE("placement: " + placement.Describe());
+        RunResult run = RunOne(config, placement);
+        EXPECT_EQ(reference.stats, run.stats);
+        EXPECT_EQ(reference.batch, run.batch);
       }
     }
   }
@@ -495,21 +477,18 @@ TEST(PlacementFuzzTest, AcceptanceGridGeo) {
     config.geo_co_coordinators = co_coordinators;
     config.seed = 0x6E0;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, Placement{1, false});
     EXPECT_GT(reference.geo.multi_region_rounds, 0)
         << "transfer run never crossed a region boundary";
     for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel,
-                              /*conflict_lookahead=*/parallel};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-          EXPECT_TRUE(reference.geo == run.geo)
-              << "geo schedule diverged across placements";
-        }
+      for (bool parallel : {false, true}) {
+        Placement placement{shards, parallel};
+        SCOPED_TRACE("placement: " + placement.Describe());
+        RunResult run = RunOne(config, placement);
+        EXPECT_EQ(reference.stats, run.stats);
+        EXPECT_EQ(reference.batch, run.batch);
+        EXPECT_TRUE(reference.geo == run.geo)
+            << "geo schedule diverged across placements";
       }
     }
   }

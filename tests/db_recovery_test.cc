@@ -4,8 +4,8 @@
 //     is lost (per-key Add conservation against the delivered-commit
 //     ledger), no lock is orphaned, and the drain is clean;
 //   - replay determinism: a crashing run's DatabaseStats, RecoveryStats,
-//     and CommitLog::Stats are bitwise identical across shard/thread
-//     placements and the inline partition path;
+//     and CommitLog::Stats are bitwise identical across shard placements
+//     and the inline partition path;
 //   - the replicated log's fast and slow quorum paths both occur, and its
 //     slot GC keeps live-slot memory bounded;
 //   - a participant crash holds its locks across the outage: deferred
@@ -28,7 +28,6 @@ namespace {
 
 struct Placement {
   int shards = 1;
-  int threads = 1;
   bool partition_parallel = true;
 };
 
@@ -124,7 +123,6 @@ Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
   options.protocol = protocol;
   options.log_replicas = log_replicas;
   options.num_shards = placement.shards;
-  options.num_threads = placement.threads;
   options.partition_parallel = placement.partition_parallel;
   return options;
 }
@@ -198,8 +196,7 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
 
 // Replay determinism, the repo's core invariant extended to crashes: the
 // whole recovery trajectory — stats, recovery counters, log counters — is
-// bitwise identical across shard counts, thread counts, and the inline
-// partition path.
+// bitwise identical across shard counts and the inline partition path.
 TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
@@ -211,13 +208,11 @@ TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
       options.fault_plan.coordinator_restart_delay = 3000;
       return RunTransfer(options, 250, 77);
     };
-    RunOutcome baseline = run({1, 1, true});
+    RunOutcome baseline = run({1, true});
     for (const Placement& placement :
-         {Placement{2, 1, true}, Placement{8, 4, true},
-          Placement{1, 1, false}}) {
+         {Placement{2, true}, Placement{8, true}, Placement{1, false}}) {
       RunOutcome out = run(placement);
       SCOPED_TRACE("shards=" + std::to_string(placement.shards) +
-                   " threads=" + std::to_string(placement.threads) +
                    " parallel=" + std::to_string(placement.partition_parallel));
       EXPECT_EQ(out.stats, baseline.stats);
       EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
@@ -291,12 +286,11 @@ TEST(CommitLogTest, LoggedRunBitwiseDeterministicAcrossPlacements) {
     return RunTransfer(FaultOptions(core::ProtocolKind::kInbac, 3, placement),
                        300, 23);
   };
-  RunOutcome baseline = run({1, 1, true});
+  RunOutcome baseline = run({1, true});
   for (const Placement& placement :
-       {Placement{2, 1, true}, Placement{8, 4, true}, Placement{1, 1, false}}) {
+       {Placement{2, true}, Placement{8, true}, Placement{1, false}}) {
     RunOutcome out = run(placement);
-    EXPECT_EQ(out.stats, baseline.stats)
-        << "shards=" << placement.shards << " threads=" << placement.threads;
+    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << placement.shards;
     EXPECT_EQ(out.log_stats, baseline.log_stats);
   }
   EXPECT_GT(baseline.stats.committed, 0);
@@ -336,12 +330,10 @@ TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
     options.fault_plan.participant_restart_delay = 2500;
     return RunTransfer(options, 250, 77);
   };
-  RunOutcome baseline = run({1, 1, true});
-  for (const Placement& placement :
-       {Placement{2, 1, true}, Placement{8, 4, true}}) {
+  RunOutcome baseline = run({1, true});
+  for (const Placement& placement : {Placement{2, true}, Placement{8, true}}) {
     RunOutcome out = run(placement);
-    EXPECT_EQ(out.stats, baseline.stats)
-        << "shards=" << placement.shards << " threads=" << placement.threads;
+    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << placement.shards;
     EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
   }
   EXPECT_GT(baseline.recovery.participant_crashes, 0);
@@ -384,14 +376,8 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
   };
   // Regenerate the workload with the same seed per placement (seed depends
   // only on a constant here).
-  auto fixed_seed_run = [&run](int shards, int threads) {
-    Placement placement{1, 1, true};
-    placement.shards = shards;
-    placement.threads = threads;
-    return run(placement);
-  };
-  RunOutcome a = fixed_seed_run(1, 1);
-  RunOutcome b = fixed_seed_run(1, 1);
+  RunOutcome a = run(Placement{1, true});
+  RunOutcome b = run(Placement{1, true});
   EXPECT_EQ(a.stats, b.stats);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_GT(a.stats.read_only_committed, 0);
@@ -431,21 +417,6 @@ TEST(RecoveryEdgeTest, CoordinatorCrashWithSnapshotReads) {
   EXPECT_EQ(database.recovery_stats().coordinator_crashes, 1);
   EXPECT_EQ(stats.read_only_committed, reads_completed);
   EXPECT_EQ(database.SumInts(), 32 * 1000);
-}
-
-// Conflict-aware lookahead composes with a coordinator crash: tracked key
-// hashes of lost rounds are released by recovery's presumed-abort sweep,
-// so the tracker drains empty (Drain FC_CHECKs it).
-TEST(RecoveryEdgeTest, LookaheadTrackerSurvivesCoordinatorCrash) {
-  Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
-  options.conflict_lookahead = true;
-  options.fault_plan.crash_point = CrashPoint::kAfterPrepare;
-  options.fault_plan.crash_at_occurrence = 7;
-  options.fault_plan.coordinator_restart_delay = 3000;
-  RunOutcome out = RunTransfer(options, 250, 13);
-  EXPECT_EQ(out.recovery.coordinator_crashes, 1);
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.held_locks, 0);
 }
 
 // OCC composes with recovery: version-lock words are released by the same

@@ -8,8 +8,8 @@
 //   - partial-round abort: a conflicting member of a merged round aborts
 //     alone, the all-Yes members commit;
 //   - composition with cross-set admission (the two catch opposite
-//     arrival orders), and bitwise placement determinism across shard and
-//     thread counts.
+//     arrival orders), and bitwise placement determinism across shard
+//     counts.
 
 #include <gtest/gtest.h>
 
@@ -200,13 +200,12 @@ TEST(RoundMergeTest, MergeAndCrossSetTogetherCatchBothArrivalOrders) {
   }
 }
 
-DatabaseStats RunMergedMixedWidth(int num_shards, int num_threads,
+DatabaseStats RunMergedMixedWidth(int num_shards,
                                   Database::BatchStats* batch_stats) {
   Database::Options options = MergeOptions(400);
   options.num_partitions = 5;
   options.batch_cross_set = true;
   options.num_shards = num_shards;
-  options.num_threads = num_threads;
   Database database(options);
   // Mixed-width transactions (2 to 4 keys over 60 items): partition sets
   // of different widths interleave, so narrow batches regularly open
@@ -236,18 +235,14 @@ DatabaseStats RunMergedMixedWidth(int num_shards, int num_threads,
 
 TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
   Database::BatchStats reference_batches;
-  DatabaseStats reference = RunMergedMixedWidth(1, 1, &reference_batches);
+  DatabaseStats reference = RunMergedMixedWidth(1, &reference_batches);
   EXPECT_GT(reference_batches.merged_rounds, 0)
       << "workload too tame: no superset round ever absorbed a subset";
   for (int shards : {1, 2, 8}) {
-    for (int threads : {1, 4}) {
-      Database::BatchStats batches;
-      DatabaseStats stats = RunMergedMixedWidth(shards, threads, &batches);
-      EXPECT_EQ(stats, reference)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(batches, reference_batches)
-          << "shards=" << shards << " threads=" << threads;
-    }
+    Database::BatchStats batches;
+    DatabaseStats stats = RunMergedMixedWidth(shards, &batches);
+    EXPECT_EQ(stats, reference) << "shards=" << shards;
+    EXPECT_EQ(batches, reference_batches) << "shards=" << shards;
   }
 }
 

@@ -1,11 +1,11 @@
 // Tests of the sharded simulator runtime (sim/sharded_simulator.h) at the
 // database layer:
 //   - determinism gate: same seed => bitwise-identical DatabaseStats for
-//     shard counts {1, 2, 8} and for threaded vs single-threaded drains,
-//     across commit protocols and workloads (including the retry/feedback
-//     path that exercises the merge rule's lookahead bound);
+//     shard counts {1, 2, 8}, across commit protocols and workloads
+//     (including the retry/feedback path that exercises the merge rule's
+//     lookahead bound);
 //   - correctness invariants (balance conservation, exactly-once applies)
-//     hold under sharded + threaded execution;
+//     hold under sharded execution;
 //   - the instance pool stays O(concurrency) per shard and the transaction
 //     id -> shard mapping is stable and reasonably balanced.
 
@@ -20,19 +20,17 @@
 namespace fastcommit::db {
 namespace {
 
-Database::Options BaseOptions(core::ProtocolKind protocol, int num_shards,
-                              int num_threads) {
+Database::Options BaseOptions(core::ProtocolKind protocol, int num_shards) {
   Database::Options options;
   options.num_partitions = 5;
   options.protocol = protocol;
   options.num_shards = num_shards;
-  options.num_threads = num_threads;
   return options;
 }
 
 DatabaseStats RunTransfer(core::ProtocolKind protocol, int num_shards,
-                          int num_threads, uint64_t seed) {
-  Database database(BaseOptions(protocol, num_shards, num_threads));
+                          uint64_t seed) {
+  Database database(BaseOptions(protocol, num_shards));
   const int kAccounts = 40;
   for (int a = 0; a < kAccounts; ++a) {
     database.LoadInt(AccountKey(a), 1000);
@@ -47,8 +45,8 @@ DatabaseStats RunTransfer(core::ProtocolKind protocol, int num_shards,
 }
 
 DatabaseStats RunHotspot(core::ProtocolKind protocol, int num_shards,
-                         int num_threads, uint64_t seed) {
-  Database::Options options = BaseOptions(protocol, num_shards, num_threads);
+                         uint64_t seed) {
+  Database::Options options = BaseOptions(protocol, num_shards);
   options.max_attempts = 4;
   Database database(options);
   auto txs = MakeHotspotWorkload(80, 50, 3, 2, 0.8, seed);
@@ -60,21 +58,13 @@ class ShardDeterminismTest
     : public ::testing::TestWithParam<core::ProtocolKind> {};
 
 TEST_P(ShardDeterminismTest, TransferStatsIdenticalAcrossShardCounts) {
-  DatabaseStats one = RunTransfer(GetParam(), 1, 1, 99);
-  DatabaseStats two = RunTransfer(GetParam(), 2, 1, 99);
-  DatabaseStats eight = RunTransfer(GetParam(), 8, 1, 99);
+  DatabaseStats one = RunTransfer(GetParam(), 1, 99);
+  DatabaseStats two = RunTransfer(GetParam(), 2, 99);
+  DatabaseStats eight = RunTransfer(GetParam(), 8, 99);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
   EXPECT_GT(one.committed, 0);
   EXPECT_GT(one.latency.count(), 0);
-}
-
-TEST_P(ShardDeterminismTest, TransferStatsIdenticalThreadedVsSingle) {
-  DatabaseStats single_queue = RunTransfer(GetParam(), 1, 1, 99);
-  DatabaseStats sequential = RunTransfer(GetParam(), 4, 1, 99);
-  DatabaseStats threaded = RunTransfer(GetParam(), 4, 4, 99);
-  EXPECT_EQ(sequential, threaded);
-  EXPECT_EQ(single_queue, threaded);
 }
 
 // The hotspot workload aborts and retries heavily, which is the only path
@@ -82,11 +72,9 @@ TEST_P(ShardDeterminismTest, TransferStatsIdenticalThreadedVsSingle) {
 // injections) back into the merge loop — the part the lookahead bound
 // protects.
 TEST_P(ShardDeterminismTest, HotspotStatsIdenticalAcrossShardCounts) {
-  DatabaseStats one = RunHotspot(GetParam(), 1, 1, 7);
-  DatabaseStats eight = RunHotspot(GetParam(), 8, 1, 7);
-  DatabaseStats threaded = RunHotspot(GetParam(), 8, 4, 7);
+  DatabaseStats one = RunHotspot(GetParam(), 1, 7);
+  DatabaseStats eight = RunHotspot(GetParam(), 8, 7);
   EXPECT_EQ(one, eight);
-  EXPECT_EQ(one, threaded);
   EXPECT_GT(one.retries, 0) << "hotspot contention should cause retries";
 }
 
@@ -103,9 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
       return clean;
     });
 
-TEST(ShardRuntimeTest, TransfersConserveBalanceUnderThreadedDrain) {
-  Database::Options options =
-      BaseOptions(core::ProtocolKind::kInbac, 8, 4);
+TEST(ShardRuntimeTest, TransfersConserveBalanceAcrossEightShards) {
+  Database::Options options = BaseOptions(core::ProtocolKind::kInbac, 8);
   Database database(options);
   const int kAccounts = 60;
   const int64_t kInitial = 1000;
@@ -128,7 +115,7 @@ TEST(ShardRuntimeTest, CompletionCallbackReportsRealDecision) {
   // Two transactions over the same keys, submitted at the same instant: the
   // loser of the no-wait lock race aborts (max_attempts=1 to pin the
   // outcome), the winner commits.
-  Database::Options options = BaseOptions(core::ProtocolKind::kTwoPc, 2, 1);
+  Database::Options options = BaseOptions(core::ProtocolKind::kTwoPc, 2);
   options.max_attempts = 1;
   Database db(options);
   std::vector<Op> ops;
@@ -164,7 +151,7 @@ TEST(ShardRuntimeTest, CompletionCallbackReportsRealDecision) {
 }
 
 TEST(ShardRuntimeTest, ShardMappingIsStableAndCoversShards) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, 8, 1));
+  Database database(BaseOptions(core::ProtocolKind::kInbac, 8));
   std::vector<int> counts(8, 0);
   for (TxId id = 1; id <= 800; ++id) {
     int shard = database.ShardOf(id);
@@ -182,7 +169,7 @@ TEST(ShardRuntimeTest, PoolStaysBoundedByConcurrencyPerShard) {
   // Waves of 6 concurrent two-partition commits, waves far apart: peak live
   // must track the wave size (possibly one instance per shard touched), not
   // the 20-wave transaction count.
-  Database database(BaseOptions(core::ProtocolKind::kInbac, 4, 1));
+  Database database(BaseOptions(core::ProtocolKind::kInbac, 4));
   const int kWaves = 20;
   const int kPerWave = 6;
   TxId next_id = 1;

@@ -8,12 +8,8 @@
 //     harness can actually pressure the system);
 //   - admission control: Options::max_inflight sheds at saturation and
 //     sheds nothing when the bound is slack;
-//   - conflict-aware lookahead (Options::conflict_lookahead): skips flush
-//     barriers on low-conflict streams with DatabaseStats and BatchStats
-//     bitwise identical to lookahead-off;
 //   - placement determinism: every arrival process x skew drift config
-//     yields bitwise-identical DatabaseStats across shard/thread
-//     placements and lookahead settings.
+//     yields bitwise-identical DatabaseStats across shard counts.
 
 #include <gtest/gtest.h>
 
@@ -46,8 +42,6 @@ TrafficOptions SmallStream(ArrivalProcess process, double zipf,
 struct OpenLoopResult {
   DatabaseStats stats;
   Database::BatchStats batch_stats;
-  int64_t lookahead_skips = 0;
-  int64_t plane_flushes = 0;
   int64_t balance_sum = 0;
 };
 
@@ -59,8 +53,6 @@ OpenLoopResult RunOpenLoop(const Database::Options& options,
   OpenLoopResult result;
   result.stats = database.Drain();
   result.batch_stats = database.batch_stats();
-  result.lookahead_skips = database.lookahead_skips();
-  result.plane_flushes = database.partition_plane().flushes();
   result.balance_sum = database.SumInts();
   return result;
 }
@@ -230,84 +222,7 @@ TEST(OpenLoopTest, ShedArrivalsReportAbortToTheCallback) {
   EXPECT_GE(aborts, stats.shed);
 }
 
-TEST(OpenLoopTest, LookaheadSkipsBarriersWithIdenticalStats) {
-  Database::Options off;
-  off.num_partitions = 8;
-  off.seed = 13;
-  Database::Options on = off;
-  on.conflict_lookahead = true;
-
-  // Low-conflict stream: a wide key space keeps most arrivals disjoint.
-  TrafficOptions traffic;
-  traffic.mean_gap = 40.0;
-  traffic.num_arrivals = 600;
-  traffic.num_keys = 1 << 18;
-  traffic.seed = 17;
-
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  // The whole point: fewer barriers, not one bit of stats drift.
-  EXPECT_GT(look.lookahead_skips, 0);
-  EXPECT_LT(look.plane_flushes, base.plane_flushes);
-  EXPECT_EQ(base.lookahead_skips, 0);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_EQ(look.balance_sum, base.balance_sum);
-}
-
-TEST(OpenLoopTest, LookaheadSurvivesContentionAndInvariantSweeps) {
-  // A hot tiny key space forces constant conflicts (nothing predictable)
-  // plus retries; check_invariants turns on the tracker-vs-lock sweep at
-  // every barrier. Stats must still match lookahead-off exactly.
-  Database::Options off;
-  off.num_partitions = 4;
-  off.check_invariants = true;
-  Database::Options on = off;
-  on.conflict_lookahead = true;
-
-  TrafficOptions traffic = SmallStream(ArrivalProcess::kBursty, 1.1, 0);
-  traffic.num_keys = 16;
-  traffic.mean_gap = 30.0;
-
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_GT(look.stats.retries, 0) << "stream too tame to stress conflicts";
-}
-
-TEST(OpenLoopTest, LookaheadComposesWithBatching) {
-  Database::Options off;
-  off.num_partitions = 6;
-  off.batch_window = 60;
-  off.batch_max = 8;
-  off.batch_cross_set = true;
-  off.batch_round_merge = true;
-  Database::Options on = off;
-  on.conflict_lookahead = true;
-
-  TrafficOptions traffic = SmallStream(ArrivalProcess::kPoisson, 0.6, 0);
-  traffic.mean_gap = 25.0;
-  traffic.num_keys = 1 << 14;
-
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  EXPECT_GT(look.lookahead_skips, 0);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_GT(base.batch_stats.rounds, 0);
-}
-
-struct PlacementCase {
-  int num_shards;
-  int num_threads;
-  bool conflict_lookahead;
-};
-
 TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
-  const PlacementCase kPlacements[] = {
-      {1, 1, false}, {2, 4, true}, {8, 4, false}, {8, 2, true},
-  };
   for (ArrivalProcess process : {ArrivalProcess::kPoisson,
                                  ArrivalProcess::kBursty,
                                  ArrivalProcess::kDiurnal}) {
@@ -316,16 +231,13 @@ TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
       Database::Options reference_options;
       reference_options.num_partitions = 6;
       OpenLoopResult reference = RunOpenLoop(reference_options, traffic);
-      for (const PlacementCase& placement : kPlacements) {
+      for (int shards : {2, 8}) {
         Database::Options options = reference_options;
-        options.num_shards = placement.num_shards;
-        options.num_threads = placement.num_threads;
-        options.conflict_lookahead = placement.conflict_lookahead;
+        options.num_shards = shards;
         OpenLoopResult run = RunOpenLoop(options, traffic);
         EXPECT_EQ(run.stats, reference.stats)
-            << ToString(process) << " drift=" << drift << " shards="
-            << placement.num_shards << " threads=" << placement.num_threads
-            << " lookahead=" << placement.conflict_lookahead;
+            << ToString(process) << " drift=" << drift
+            << " shards=" << shards;
         EXPECT_EQ(run.batch_stats, reference.batch_stats);
       }
     }

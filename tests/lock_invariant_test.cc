@@ -1,8 +1,8 @@
 // Stress of the per-partition LockManager under partition-parallel prepare
 // (ISSUE 5): the debug CheckInvariants() hook runs at every partition-plane
 // flush barrier (Database::Options::check_invariants) while contended
-// workloads prepare, upgrade, batch, abort, and retry across worker
-// threads — catching any lock a finished transaction still holds, any
+// workloads prepare, upgrade, batch, abort, and retry across shard
+// counts — catching any lock a finished transaction still holds, any
 // shared/exclusive coexistence, and any upgrade-path bookkeeping drift.
 //
 // The LockManager-level tests below additionally pin each invariant
@@ -79,7 +79,6 @@ TEST(LockInvariantTest, ReleaseAllOfUnknownTxIsHarmless) {
 
 struct StressSpec {
   int num_shards;
-  int num_threads;
   sim::Time batch_window;
   bool adaptive;
 };
@@ -116,7 +115,6 @@ Database::Options StressOptions(const StressSpec& spec) {
   options.protocol = core::ProtocolKind::kTwoPc;
   options.max_attempts = 3;
   options.num_shards = spec.num_shards;
-  options.num_threads = spec.num_threads;
   options.partition_parallel = true;
   options.check_invariants = true;  // sweep at every flush barrier
   options.batch_window = spec.batch_window;
@@ -184,15 +182,14 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Placements, LockInvariantStressTest,
-    ::testing::Values(StressSpec{1, 1, 0, false},      // plane, single queue
-                      StressSpec{4, 1, 0, false},      // sharded homes
-                      StressSpec{8, 4, 0, false},      // threaded flushes
-                      StressSpec{8, 4, 200, false},    // + batched rounds
-                      StressSpec{8, 4, 100, true}),    // + adaptive windows
+    ::testing::Values(StressSpec{1, 0, false},      // plane, single queue
+                      StressSpec{4, 0, false},      // sharded instances
+                      StressSpec{8, 0, false},      // more shards
+                      StressSpec{8, 200, false},    // + batched rounds
+                      StressSpec{8, 100, true}),    // + adaptive windows
     [](const ::testing::TestParamInfo<StressSpec>& info) {
       const StressSpec& spec = info.param;
-      return "shards" + std::to_string(spec.num_shards) + "threads" +
-             std::to_string(spec.num_threads) + "window" +
+      return "shards" + std::to_string(spec.num_shards) + "window" +
              std::to_string(spec.batch_window) +
              (spec.adaptive ? "adaptive" : "");
     });

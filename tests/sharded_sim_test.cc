@@ -14,11 +14,9 @@
 namespace fastcommit::sim {
 namespace {
 
-ShardedSimulator::Options MakeOptions(int shards, int threads = 1,
-                                      Time lookahead = 1) {
+ShardedSimulator::Options MakeOptions(int shards, Time lookahead = 1) {
   ShardedSimulator::Options options;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.lookahead = lookahead;
   return options;
 }
@@ -95,7 +93,7 @@ TEST(ShardedSimulatorTest, EffectMayScheduleControlEventsAfterLookahead) {
   // T + lookahead, which injects into a different shard. With the horizon
   // honoring the lookahead bound, nothing lands in any shard's past.
   const Time kLookahead = 50;
-  ShardedSimulator sim(MakeOptions(2, 1, kLookahead));
+  ShardedSimulator sim(MakeOptions(2, kLookahead));
   std::vector<int> order;
   // Shard 1 has far-future work the horizon must not eagerly drain.
   sim.shard(1)->ScheduleAt(400, EventClass::kDelivery,
@@ -113,28 +111,6 @@ TEST(ShardedSimulatorTest, EffectMayScheduleControlEventsAfterLookahead) {
   });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
-}
-
-TEST(ShardedSimulatorTest, ThreadedDrainMatchesSingleThreaded) {
-  // Same event program on 4 shards, drained with 1 and 4 threads: the
-  // observable effect order must be identical.
-  auto run = [](int threads) {
-    ShardedSimulator sim(MakeOptions(4, threads));
-    std::vector<uint64_t> applied;
-    for (int s = 0; s < 4; ++s) {
-      for (int k = 0; k < 8; ++k) {
-        Time at = 10 + 10 * k;
-        uint64_t key = static_cast<uint64_t>(s * 8 + k);
-        sim.shard(s)->ScheduleAt(at, EventClass::kDelivery, [&sim, s, at, key,
-                                                            &applied] {
-          sim.PostEffect(s, at, key, [&applied, key] { applied.push_back(key); });
-        });
-      }
-    }
-    sim.Run();
-    return applied;
-  };
-  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(ShardedSimulatorDeathTest, AdvanceToPastAPendingEventDies) {

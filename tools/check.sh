@@ -41,7 +41,7 @@ run_suite build
 
 # Batching determinism gate at reduced scale: bench_db_batching exits
 # nonzero if DatabaseStats or BatchStats diverge between the serial
-# reference and a sharded/threaded prepare-on-shard placement for any
+# reference and a sharded prepare-on-plane placement for any
 # batching window, or if batching stops reducing per-commit messages.
 # (CI reruns it, plus the other bench gates, at 20k transactions.)
 gate "batching determinism (bench_db_batching --txs 4000)" \
@@ -49,15 +49,14 @@ gate "batching determinism (bench_db_batching --txs 4000)" \
 
 # Open-loop determinism + saturation gate at reduced scale: nonzero if any
 # arrival stream's stats diverge across placements, an uncapped Poisson
-# stream falls under 95% of offered load, the saturated row stops
-# shedding, or conflict lookahead drifts a simulated metric / stops
-# skipping barriers.
+# stream falls under 95% of offered load, or the saturated row stops
+# shedding.
 gate "open-loop traffic (bench_db_openloop --txs 4000)" \
   ./build/bench_db_openloop --txs 4000
 
 # 2PL-vs-OCC ablation gate at reduced scale: nonzero if OCC stops clearing
 # its goodput floor on the gated read-heavy low-conflict row, or if OCC
-# stats diverge across shard/thread/lookahead placements.
+# stats diverge across shard placements.
 gate "2PL-vs-OCC ablation (bench_db_throughput --txs 4000)" \
   ./build/bench_db_throughput --txs 4000 --ablation-only
 
